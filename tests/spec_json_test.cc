@@ -8,14 +8,21 @@
  *    testbed's full Chameleon;
  *  - strict rejection: unknown keys, type mismatches, bad enum values,
  *    and validate() contradictions all name the offending key;
- *  - SystemSpec::operator== distinguishes every axis.
+ *  - SystemSpec::operator== distinguishes every axis;
+ *  - pinned dumps: the exact bytes specToJson prints for every preset
+ *    and for the fleet, fabric, closed-loop and tenancy specs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chameleon/spec_json.h"
+#include "chameleon/system.h"
 #include "chameleon/system_registry.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
@@ -650,4 +657,112 @@ TEST(SpecEquality, DistinguishesEveryAxis)
     auto chunked = base();
     chunked.chunkTokens += 1;
     EXPECT_NE(chunked, base());
+}
+
+// ---------------------------------------------------------------------
+// Pinned dumps: the printed bytes, not just the round trip, must stay.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Every registry preset on the paper testbed, plus the hetero-fleet,
+ * fabric, closed-loop and tenancy specs the other suites build. */
+std::vector<std::pair<std::string, core::SystemSpec>>
+pinnedSpecs()
+{
+    std::vector<std::pair<std::string, core::SystemSpec>> specs;
+    const auto &registry = core::SystemRegistry::global();
+    for (const auto &name : registry.names()) {
+        auto spec = registry.lookup(name);
+        spec.engine.model = model::llama7B();
+        spec.engine.gpu = model::a40();
+        specs.emplace_back(name, spec);
+    }
+
+    auto fleet = core::presets::chameleon();
+    fleet.engine.model = model::llama7B();
+    fleet.engine.gpu = model::a40();
+    fleet.cluster.replicas = 3;
+    fleet.cluster.router = routing::RouterPolicy::PowerOfTwoChoices;
+    serving::EngineConfig fast = fleet.engine;
+    fast.gpu = model::a100(48);
+    serving::EngineConfig slow = fleet.engine;
+    slow.maxRunning = 128;
+    fleet.cluster.replicaEngines = {fast, fast, slow};
+    specs.emplace_back("hetero-fleet", fleet);
+
+    auto fab = registry.lookup("chameleon");
+    fab.engine.model = model::llama7B();
+    fab.engine.gpu = model::a40();
+    fab.cluster.router = routing::RouterPolicy::AdapterAffinityDirectory;
+    fab.cluster.routerConfig.seed = 1234;
+    fab.predictor.seed = 1234;
+    fab.fabric.migration = fabric::MigrationPolicy::All;
+    fab.fabric.topology = fabric::TopologyKind::NvLink;
+    fab.fabric.topK = 9;
+    fab.cluster.replicas = 2;
+    serving::EngineConfig a100 = fab.engine;
+    a100.gpu = model::a100(48);
+    fab.cluster.replicaEngines = {a100, fab.engine};
+    fab.cluster.autoscale = true;
+    fab.cluster.autoscaler.minReplicas = 1;
+    fab.cluster.autoscaler.maxReplicas = 4;
+    fab.cluster.autoscaler.evalPeriodSeconds = 5.0;
+    fab.cluster.autoscaler.replicaServiceRps = 6.0;
+    fab.cluster.autoscaler.downCooldownPeriods = 2;
+    specs.emplace_back("fabric", fab);
+
+    auto loop = core::presets::chameleon();
+    loop.cluster.replicas = 2;
+    loop.cluster.autoscale = true;
+    loop.cluster.autoscaler.measuredRateAlpha = 0.3;
+    loop.cluster.autoscaler.demandSource = routing::DemandSource::Measured;
+    loop.cluster.autoscaler.bootAwareHorizon = true;
+    loop.cluster.autoscaler.bootMs = 12500.0;
+    loop.cluster.autoscaler.scaleUpPolicy = routing::ScaleUpPolicy::Cheapest;
+    loop.cluster.routerConfig.sloAdmission = true;
+    specs.emplace_back("closed-loop", loop);
+
+    auto tenants = registry.lookup("chameleon+wfq");
+    tenants.engine.model = model::llama7B();
+    tenants.engine.gpu = model::a40();
+    tenants.tenancy.tenants = 4;
+    tenants.tenancy.weights = {2.0, 1.0, 1.0, 0.5};
+    tenants.tenancy.sloMultipliers = {1.0, 1.0, 2.0, 2.0};
+    tenants.tenancy.drrQuantumTokens = 256;
+    specs.emplace_back("tenancy", tenants);
+    return specs;
+}
+
+} // namespace
+
+TEST(SpecJson, DumpBytesArePinned)
+{
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"chameleon", 0x30985d0aad29a9f8ull},
+        {"chameleon-degree1", 0x348b3b210fecab1full},
+        {"chameleon-fairshare", 0x90c47667177cb767ull},
+        {"chameleon-gdsf", 0xbb243d7e9e4ff3a1ull},
+        {"chameleon-lru", 0xeedc496706f9158full},
+        {"chameleon-nocache", 0xc2879d1c7e1d4692ull},
+        {"chameleon-nosched", 0xb766790a88a3d5d1ull},
+        {"chameleon-output-only", 0x32caf9af7484c99full},
+        {"chameleon-prefetch", 0xe6deda9ce4debd5dull},
+        {"chameleon-static", 0x2f60d6c2072a6388ull},
+        {"slora", 0xe5f44a61b8c5aa25ull},
+        {"slora-chunked", 0x7bd822b1bc6e806bull},
+        {"slora-sjf", 0xf50d09a77f32d0e8ull},
+        {"hetero-fleet", 0xba9f4d150d092842ull},
+        {"fabric", 0x3bbe5cb57779f33full},
+        {"closed-loop", 0xc10ad5061394f56dull},
+        {"tenancy", 0x77efc0415514bb5eull},
+    };
+    for (const auto &[label, spec] : pinnedSpecs()) {
+        ASSERT_TRUE(spec.validate().empty()) << label;
+        const std::uint64_t hash = core::fnv1a64(core::specToJson(spec));
+        const auto it = pinned.find(label);
+        EXPECT_TRUE(it != pinned.end() && it->second == hash)
+            << "dump of \"" << label << "\" changed or is not pinned: "
+            << "{\"" << label << "\", 0x" << std::hex << hash << "ull},";
+    }
 }
