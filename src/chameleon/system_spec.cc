@@ -4,113 +4,51 @@
 
 namespace chameleon::core {
 
-const char *
-schedulerPolicyName(SchedulerPolicy policy)
+sim::EnumTable<SchedulerPolicy>
+enumTable(SchedulerPolicy)
 {
-    switch (policy) {
-      case SchedulerPolicy::Fifo: return "fifo";
-      case SchedulerPolicy::Sjf: return "sjf";
-      case SchedulerPolicy::Mlq: return "mlq";
-      case SchedulerPolicy::Wfq: return "wfq";
-      case SchedulerPolicy::Drr: return "drr";
-    }
-    return "?";
+    static constexpr sim::EnumName<SchedulerPolicy> kNames[] = {
+        {SchedulerPolicy::Fifo, "fifo"},
+        {SchedulerPolicy::Sjf, "sjf"},
+        {SchedulerPolicy::Mlq, "mlq"},
+        {SchedulerPolicy::Wfq, "wfq"},
+        {SchedulerPolicy::Drr, "drr"},
+    };
+    return kNames;
 }
 
-const char *
-adapterPolicyName(AdapterPolicy policy)
+sim::EnumTable<AdapterPolicy>
+enumTable(AdapterPolicy)
 {
-    switch (policy) {
-      case AdapterPolicy::OnDemand: return "on-demand";
-      case AdapterPolicy::SLora: return "slora";
-      case AdapterPolicy::ChameleonCache: return "chameleon-cache";
-    }
-    return "?";
+    static constexpr sim::EnumName<AdapterPolicy> kNames[] = {
+        {AdapterPolicy::OnDemand, "on-demand"},
+        {AdapterPolicy::SLora, "slora"},
+        {AdapterPolicy::ChameleonCache, "chameleon-cache"},
+    };
+    return kNames;
 }
 
-const char *
-evictionPolicyName(EvictionKind policy)
+sim::EnumTable<EvictionKind>
+enumTable(EvictionKind)
 {
-    switch (policy) {
-      case EvictionKind::Paper: return "chameleon";
-      case EvictionKind::Lru: return "lru";
-      case EvictionKind::FairShare: return "fairshare";
-      case EvictionKind::Gdsf: return "gdsf";
-    }
-    return "?";
+    static constexpr sim::EnumName<EvictionKind> kNames[] = {
+        {EvictionKind::Paper, "chameleon"},
+        {EvictionKind::Lru, "lru"},
+        {EvictionKind::FairShare, "fairshare"},
+        {EvictionKind::Gdsf, "gdsf"},
+    };
+    return kNames;
 }
 
-const char *
-reservationPolicyName(ReservationPolicy policy)
+sim::EnumTable<ReservationPolicy>
+enumTable(ReservationPolicy)
 {
-    switch (policy) {
-      case ReservationPolicy::Auto: return "auto";
-      case ReservationPolicy::MaxTokens: return "max-tokens";
-      case ReservationPolicy::Predicted: return "predicted";
-    }
-    return "?";
-}
-
-bool
-schedulerPolicyByName(const std::string &name, SchedulerPolicy *out)
-{
-    if (name == "fifo")
-        *out = SchedulerPolicy::Fifo;
-    else if (name == "sjf")
-        *out = SchedulerPolicy::Sjf;
-    else if (name == "mlq")
-        *out = SchedulerPolicy::Mlq;
-    else if (name == "wfq")
-        *out = SchedulerPolicy::Wfq;
-    else if (name == "drr")
-        *out = SchedulerPolicy::Drr;
-    else
-        return false;
-    return true;
-}
-
-bool
-adapterPolicyByName(const std::string &name, AdapterPolicy *out)
-{
-    if (name == "on-demand")
-        *out = AdapterPolicy::OnDemand;
-    else if (name == "slora")
-        *out = AdapterPolicy::SLora;
-    else if (name == "chameleon-cache")
-        *out = AdapterPolicy::ChameleonCache;
-    else
-        return false;
-    return true;
-}
-
-bool
-evictionPolicyByName(const std::string &name, EvictionKind *out)
-{
-    if (name == "chameleon")
-        *out = EvictionKind::Paper;
-    else if (name == "lru")
-        *out = EvictionKind::Lru;
-    else if (name == "fairshare")
-        *out = EvictionKind::FairShare;
-    else if (name == "gdsf")
-        *out = EvictionKind::Gdsf;
-    else
-        return false;
-    return true;
-}
-
-bool
-reservationPolicyByName(const std::string &name, ReservationPolicy *out)
-{
-    if (name == "auto")
-        *out = ReservationPolicy::Auto;
-    else if (name == "max-tokens")
-        *out = ReservationPolicy::MaxTokens;
-    else if (name == "predicted")
-        *out = ReservationPolicy::Predicted;
-    else
-        return false;
-    return true;
+    static constexpr sim::EnumName<ReservationPolicy> kNames[] = {
+        {ReservationPolicy::Auto, "auto"},
+        {ReservationPolicy::MaxTokens, "max-tokens"},
+        {ReservationPolicy::Predicted, "predicted"},
+    };
+    return kNames;
 }
 
 const std::vector<EvictionKind> &
@@ -398,67 +336,6 @@ SystemSpec::validate() const
         }
     }
     return errors;
-}
-
-bool
-operator==(const PredictorSpec &a, const PredictorSpec &b)
-{
-    return a.kind == b.kind && a.accuracy == b.accuracy &&
-           a.seed == b.seed;
-}
-
-bool
-operator==(const SchedulerSpec &a, const SchedulerSpec &b)
-{
-    return a.policy == b.policy &&
-           a.sjfAgingPerSecond == b.sjfAgingPerSecond &&
-           a.sloSeconds == b.sloSeconds &&
-           a.refreshPeriod == b.refreshPeriod && a.bypass == b.bypass &&
-           a.dynamicQueues == b.dynamicQueues && a.wrsForm == b.wrsForm;
-}
-
-bool
-operator==(const AdapterSpec &a, const AdapterSpec &b)
-{
-    return a.policy == b.policy && a.eviction == b.eviction &&
-           a.predictivePrefetch == b.predictivePrefetch &&
-           a.prefetchTopK == b.prefetchTopK;
-}
-
-bool
-operator==(const ClusterSpec &a, const ClusterSpec &b)
-{
-    return a.replicas == b.replicas &&
-           a.replicaEngines == b.replicaEngines &&
-           a.router == b.router && a.routerConfig == b.routerConfig &&
-           a.autoscale == b.autoscale && a.autoscaler == b.autoscaler;
-}
-
-bool
-operator==(const TenancySpec &a, const TenancySpec &b)
-{
-    return a.tenants == b.tenants && a.weights == b.weights &&
-           a.sloMultipliers == b.sloMultipliers &&
-           a.drrQuantumTokens == b.drrQuantumTokens;
-}
-
-bool
-operator==(const FabricSpec &a, const FabricSpec &b)
-{
-    return a.migration == b.migration && a.topology == b.topology &&
-           a.topK == b.topK;
-}
-
-bool
-operator==(const SystemSpec &a, const SystemSpec &b)
-{
-    return a.name == b.name && a.engine == b.engine &&
-           a.scheduler == b.scheduler && a.adapters == b.adapters &&
-           a.predictor == b.predictor && a.cluster == b.cluster &&
-           a.tenancy == b.tenancy && a.fabric == b.fabric &&
-           a.reservation == b.reservation &&
-           a.chunkedPrefill == b.chunkedPrefill &&
-           a.chunkTokens == b.chunkTokens;
 }
 
 namespace presets {

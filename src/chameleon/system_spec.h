@@ -24,6 +24,8 @@
 #include "routing/autoscaler.h"
 #include "routing/router.h"
 #include "serving/engine.h"
+#include "simkit/enum_table.h"
+#include "simkit/fields.h"
 #include "simkit/time.h"
 
 namespace chameleon::core {
@@ -59,17 +61,54 @@ enum class ReservationPolicy {
     Predicted, ///< Input + predicted output (Chameleon admission).
 };
 
-const char *schedulerPolicyName(SchedulerPolicy policy);
-const char *adapterPolicyName(AdapterPolicy policy);
-const char *evictionPolicyName(EvictionKind policy);
-const char *reservationPolicyName(ReservationPolicy policy);
+/** Name tables (simkit/enum_table.h); the wrappers below read them. */
+sim::EnumTable<SchedulerPolicy> enumTable(SchedulerPolicy);
+sim::EnumTable<AdapterPolicy> enumTable(AdapterPolicy);
+sim::EnumTable<EvictionKind> enumTable(EvictionKind);
+sim::EnumTable<ReservationPolicy> enumTable(ReservationPolicy);
+
+inline const char *
+schedulerPolicyName(SchedulerPolicy policy)
+{
+    return sim::enumName(policy);
+}
+inline const char *
+adapterPolicyName(AdapterPolicy policy)
+{
+    return sim::enumName(policy);
+}
+inline const char *
+evictionPolicyName(EvictionKind policy)
+{
+    return sim::enumName(policy);
+}
+inline const char *
+reservationPolicyName(ReservationPolicy policy)
+{
+    return sim::enumName(policy);
+}
 
 /** Parse canonical policy names; return false on unknown names. */
-bool schedulerPolicyByName(const std::string &name, SchedulerPolicy *out);
-bool adapterPolicyByName(const std::string &name, AdapterPolicy *out);
-bool evictionPolicyByName(const std::string &name, EvictionKind *out);
-bool reservationPolicyByName(const std::string &name,
-                             ReservationPolicy *out);
+inline bool
+schedulerPolicyByName(const std::string &name, SchedulerPolicy *out)
+{
+    return sim::enumByName(name, out);
+}
+inline bool
+adapterPolicyByName(const std::string &name, AdapterPolicy *out)
+{
+    return sim::enumByName(name, out);
+}
+inline bool
+evictionPolicyByName(const std::string &name, EvictionKind *out)
+{
+    return sim::enumByName(name, out);
+}
+inline bool
+reservationPolicyByName(const std::string &name, ReservationPolicy *out)
+{
+    return sim::enumByName(name, out);
+}
 
 /** All eviction policies, for registry/bench enumeration. */
 const std::vector<EvictionKind> &allEvictionPolicies();
@@ -82,6 +121,15 @@ struct PredictorSpec
     /** Accuracy of the bert proxy (paper's predictor: ~0.8). */
     double accuracy = 0.8;
     std::uint64_t seed = 0xC0FFEE;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("kind", &PredictorSpec::kind);
+        v.field("accuracy", &PredictorSpec::accuracy);
+        v.seed("seed", &PredictorSpec::seed);
+    }
 };
 
 /** Scheduler axis: policy plus the knobs presets vary. */
@@ -101,6 +149,19 @@ struct SchedulerSpec
     bool dynamicQueues = true;
     /** WRS formula (§4.3.1). */
     WrsForm wrsForm = WrsForm::Degree2;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("policy", &SchedulerSpec::policy);
+        v.field("sjf_aging_per_second", &SchedulerSpec::sjfAgingPerSecond);
+        v.field("slo_seconds", &SchedulerSpec::sloSeconds);
+        v.seconds("refresh_period_s", &SchedulerSpec::refreshPeriod);
+        v.field("bypass", &SchedulerSpec::bypass);
+        v.field("dynamic_queues", &SchedulerSpec::dynamicQueues);
+        v.field("wrs_form", &SchedulerSpec::wrsForm);
+    }
 };
 
 /** Adapter-management axis. */
@@ -113,6 +174,16 @@ struct AdapterSpec
     bool predictivePrefetch = false;
     /** Prefetch width (adapters per cycle); 0 = unset. */
     std::size_t prefetchTopK = 0;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("policy", &AdapterSpec::policy);
+        v.field("eviction", &AdapterSpec::eviction);
+        v.field("predictive_prefetch", &AdapterSpec::predictivePrefetch);
+        v.field("prefetch_top_k", &AdapterSpec::prefetchTopK);
+    }
 };
 
 /**
@@ -138,6 +209,16 @@ struct TenancySpec
     double weightFor(int tenant) const;
     /** SLO scale for `tenant`, defaulting to 1.0 beyond the table. */
     double sloMultiplierFor(int tenant) const;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("tenants", &TenancySpec::tenants);
+        v.field("weights", &TenancySpec::weights);
+        v.field("slo_multipliers", &TenancySpec::sloMultipliers);
+        v.field("drr_quantum_tokens", &TenancySpec::drrQuantumTokens);
+    }
 };
 
 /** Deployment axis: data-parallel replicas behind a global router. */
@@ -163,6 +244,20 @@ struct ClusterSpec
     /** Scale the active replica set at simulation time. */
     bool autoscale = false;
     routing::AutoscalerConfig autoscaler{};
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        // One key for both: an integer count for a homogeneous fleet,
+        // or the array of resolved per-replica engines.
+        v.field("replicas", &ClusterSpec::replicas,
+                &ClusterSpec::replicaEngines);
+        v.field("router", &ClusterSpec::router);
+        v.field("router_config", &ClusterSpec::routerConfig);
+        v.field("autoscale", &ClusterSpec::autoscale);
+        v.field("autoscaler", &ClusterSpec::autoscaler);
+    }
 };
 
 /**
@@ -179,6 +274,15 @@ struct FabricSpec
     fabric::TopologyKind topology = fabric::TopologyKind::PciePeer;
     /** Hot adapters considered per migration trigger. */
     std::size_t topK = 4;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("migration", &FabricSpec::migration);
+        v.field("topology", &FabricSpec::topology);
+        v.field("top_k", &FabricSpec::topK);
+    }
 
     /** Does this axis alone require a fabric? */
     bool enabled() const
@@ -259,6 +363,23 @@ struct SystemSpec
      * fails fast with the joined messages.
      */
     std::vector<std::string> validate() const;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("name", &SystemSpec::name);
+        v.field("engine", &SystemSpec::engine);
+        v.field("scheduler", &SystemSpec::scheduler);
+        v.field("adapters", &SystemSpec::adapters);
+        v.field("predictor", &SystemSpec::predictor);
+        v.field("cluster", &SystemSpec::cluster);
+        v.field("tenancy", &SystemSpec::tenancy);
+        v.field("fabric", &SystemSpec::fabric);
+        v.field("reservation", &SystemSpec::reservation);
+        v.field("chunked_prefill", &SystemSpec::chunkedPrefill);
+        v.field("chunk_tokens", &SystemSpec::chunkTokens);
+    }
 };
 
 /**
@@ -266,38 +387,73 @@ struct SystemSpec
  * JSON round-trip tests can assert spec equivalence directly instead
  * of comparing re-printed strings.
  */
-bool operator==(const PredictorSpec &a, const PredictorSpec &b);
-bool operator==(const SchedulerSpec &a, const SchedulerSpec &b);
-bool operator==(const AdapterSpec &a, const AdapterSpec &b);
-bool operator==(const ClusterSpec &a, const ClusterSpec &b);
-bool operator==(const TenancySpec &a, const TenancySpec &b);
-bool operator==(const FabricSpec &a, const FabricSpec &b);
-bool operator==(const SystemSpec &a, const SystemSpec &b);
-inline bool operator!=(const PredictorSpec &a, const PredictorSpec &b)
+inline bool
+operator==(const PredictorSpec &a, const PredictorSpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
+inline bool
+operator==(const SchedulerSpec &a, const SchedulerSpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
+inline bool
+operator==(const AdapterSpec &a, const AdapterSpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
+inline bool
+operator==(const ClusterSpec &a, const ClusterSpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
+inline bool
+operator==(const TenancySpec &a, const TenancySpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
+inline bool
+operator==(const FabricSpec &a, const FabricSpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
+inline bool
+operator==(const SystemSpec &a, const SystemSpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
+inline bool
+operator!=(const PredictorSpec &a, const PredictorSpec &b)
 {
     return !(a == b);
 }
-inline bool operator!=(const SchedulerSpec &a, const SchedulerSpec &b)
+inline bool
+operator!=(const SchedulerSpec &a, const SchedulerSpec &b)
 {
     return !(a == b);
 }
-inline bool operator!=(const AdapterSpec &a, const AdapterSpec &b)
+inline bool
+operator!=(const AdapterSpec &a, const AdapterSpec &b)
 {
     return !(a == b);
 }
-inline bool operator!=(const ClusterSpec &a, const ClusterSpec &b)
+inline bool
+operator!=(const ClusterSpec &a, const ClusterSpec &b)
 {
     return !(a == b);
 }
-inline bool operator!=(const TenancySpec &a, const TenancySpec &b)
+inline bool
+operator!=(const TenancySpec &a, const TenancySpec &b)
 {
     return !(a == b);
 }
-inline bool operator!=(const FabricSpec &a, const FabricSpec &b)
+inline bool
+operator!=(const FabricSpec &a, const FabricSpec &b)
 {
     return !(a == b);
 }
-inline bool operator!=(const SystemSpec &a, const SystemSpec &b)
+inline bool
+operator!=(const SystemSpec &a, const SystemSpec &b)
 {
     return !(a == b);
 }

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "model/adapter.h"
+#include "simkit/enum_table.h"
 
 namespace chameleon::core {
 
@@ -30,10 +31,21 @@ enum class WrsForm {
     OutputOnly, ///< Predicted output only (the uServe-style knob, §5.4.1).
 };
 
-/** Canonical name ("degree2" | "degree1" | "output-only"). */
-const char *wrsFormName(WrsForm form);
+/** Name table (simkit/enum_table.h); the wrappers below read it. */
+sim::EnumTable<WrsForm> enumTable(WrsForm);
+
+/** Canonical name (also accepted by wrsFormByName). */
+inline const char *
+wrsFormName(WrsForm form)
+{
+    return sim::enumName(form);
+}
 /** Parse a form name; returns false on unknown names. */
-bool wrsFormByName(const std::string &name, WrsForm *out);
+inline bool
+wrsFormByName(const std::string &name, WrsForm *out)
+{
+    return sim::enumByName(name, out);
+}
 
 /** Computes WRS values with running normalisation maxima. */
 class WrsCalculator

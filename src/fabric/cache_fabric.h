@@ -40,6 +40,7 @@
 #include "fabric/transfer_topology.h"
 #include "model/adapter.h"
 #include "serving/adapter_manager.h"
+#include "simkit/enum_table.h"
 #include "simkit/simulator.h"
 
 namespace chameleon::obs {
@@ -57,14 +58,29 @@ enum class MigrationPolicy {
     All,     ///< Every trigger.
 };
 
+/** Name table (simkit/enum_table.h); the wrappers below read it. */
+sim::EnumTable<MigrationPolicy> enumTable(MigrationPolicy);
+
 /** Canonical short name (also accepted by migrationPolicyByName). */
-const char *migrationPolicyName(MigrationPolicy policy);
+inline const char *
+migrationPolicyName(MigrationPolicy policy)
+{
+    return sim::enumName(policy);
+}
 
 /** Parse a policy name; returns false on unknown names. */
-bool migrationPolicyByName(const std::string &name, MigrationPolicy *out);
+inline bool
+migrationPolicyByName(const std::string &name, MigrationPolicy *out)
+{
+    return sim::enumByName(name, out);
+}
 
 /** Comma-separated policy names, for error messages. */
-const char *migrationPolicyNames();
+inline const char *
+migrationPolicyNames()
+{
+    return sim::enumNames<MigrationPolicy>();
+}
 
 /** Fabric knobs (mirrored by core::FabricSpec / spec JSON). */
 struct FabricConfig

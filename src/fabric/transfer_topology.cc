@@ -4,32 +4,15 @@
 
 namespace chameleon::fabric {
 
-const char *
-topologyName(TopologyKind kind)
+sim::EnumTable<TopologyKind>
+enumTable(TopologyKind)
 {
-    switch (kind) {
-      case TopologyKind::PciePeer: return "pcie";
-      case TopologyKind::NvLink: return "nvlink";
-    }
-    return "?";
-}
-
-bool
-topologyByName(const std::string &name, TopologyKind *out)
-{
-    if (name == "pcie" || name == "pcie-peer")
-        *out = TopologyKind::PciePeer;
-    else if (name == "nvlink")
-        *out = TopologyKind::NvLink;
-    else
-        return false;
-    return true;
-}
-
-const char *
-topologyNames()
-{
-    return "pcie, nvlink";
+    static constexpr sim::EnumName<TopologyKind> kNames[] = {
+        {TopologyKind::PciePeer, "pcie"},
+        {TopologyKind::PciePeer, "pcie-peer"},
+        {TopologyKind::NvLink, "nvlink"},
+    };
+    return kNames;
 }
 
 namespace {

@@ -28,6 +28,7 @@
 #include <utility>
 
 #include "gpu/peer_link.h"
+#include "simkit/enum_table.h"
 #include "simkit/simulator.h"
 #include "simkit/time.h"
 
@@ -39,14 +40,29 @@ enum class TopologyKind {
     NvLink,   ///< NVLink mesh (~240 GB/s, ~20 us setup).
 };
 
+/** Name table (simkit/enum_table.h); the wrappers below read it. */
+sim::EnumTable<TopologyKind> enumTable(TopologyKind);
+
 /** Canonical short name (also accepted by topologyByName). */
-const char *topologyName(TopologyKind kind);
+inline const char *
+topologyName(TopologyKind kind)
+{
+    return sim::enumName(kind);
+}
 
 /** Parse a topology name; returns false on unknown names. */
-bool topologyByName(const std::string &name, TopologyKind *out);
+inline bool
+topologyByName(const std::string &name, TopologyKind *out)
+{
+    return sim::enumByName(name, out);
+}
 
 /** Comma-separated topology names, for error messages. */
-const char *topologyNames();
+inline const char *
+topologyNames()
+{
+    return sim::enumNames<TopologyKind>();
+}
 
 /** Lazily built per-ordered-pair peer links from one preset. */
 class TransferTopology

@@ -27,6 +27,7 @@
 
 #include "model/gpu_spec.h"
 #include "model/llm.h"
+#include "simkit/fields.h"
 #include "simkit/time.h"
 
 namespace chameleon::model {
@@ -63,10 +64,30 @@ struct CostParams
     double tpSyncMs = 10.0;
     /** Parallel-efficiency loss per doubling of TP degree. */
     double tpEffLossPerLog2 = 0.15;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("compute_util", &CostParams::computeUtil);
+        v.field("mem_util", &CostParams::memUtil);
+        v.field("prefill_fixed_ms", &CostParams::prefillFixedMs);
+        v.field("mbgmm_fixed_ms", &CostParams::mbgmmFixedMs);
+        v.field("lora_ineff", &CostParams::loraIneff);
+        v.field("decode_fixed_ms", &CostParams::decodeFixedMs);
+        v.field("decode_req_us", &CostParams::decodeReqUs);
+        v.field("mbgmv_fixed_ms", &CostParams::mbgmvFixedMs);
+        v.field("decode_rank_us", &CostParams::decodeRankUs);
+        v.field("tp_sync_ms", &CostParams::tpSyncMs);
+        v.field("tp_eff_loss_per_log2", &CostParams::tpEffLossPerLog2);
+    }
 };
 
 /** Field-wise equality (spec round-trip tests). */
-bool operator==(const CostParams &a, const CostParams &b);
+inline bool operator==(const CostParams &a, const CostParams &b)
+{
+    return sim::fieldsEqual(a, b);
+}
 inline bool operator!=(const CostParams &a, const CostParams &b)
 {
     return !(a == b);

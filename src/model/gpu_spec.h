@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "simkit/fields.h"
+
 namespace chameleon::model {
 
 /** Static description of one GPU. */
@@ -26,10 +28,25 @@ struct GpuSpec
     double pcieBandwidth = 0.0;
     /** Fixed per-transfer setup latency, seconds (driver + pinning). */
     double pcieSetupSeconds = 0.0;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("name", &GpuSpec::name);
+        v.field("fp16_flops", &GpuSpec::fp16Flops);
+        v.field("mem_bandwidth", &GpuSpec::memBandwidth);
+        v.field("mem_bytes", &GpuSpec::memBytes);
+        v.field("pcie_bandwidth", &GpuSpec::pcieBandwidth);
+        v.field("pcie_setup_seconds", &GpuSpec::pcieSetupSeconds);
+    }
 };
 
 /** Field-wise equality (spec round-trip tests). */
-bool operator==(const GpuSpec &a, const GpuSpec &b);
+inline bool operator==(const GpuSpec &a, const GpuSpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
 inline bool operator!=(const GpuSpec &a, const GpuSpec &b)
 {
     return !(a == b);

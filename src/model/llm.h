@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string>
 
+#include "simkit/fields.h"
+
 namespace chameleon::model {
 
 /**
@@ -52,10 +54,24 @@ struct ModelSpec
 
     /** Forward-pass FLOPs per token (approximately 2 * params). */
     double flopsPerToken() const { return 2.0 * params; }
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("name", &ModelSpec::name);
+        v.field("layers", &ModelSpec::layers);
+        v.field("hidden", &ModelSpec::hidden);
+        v.field("kv_hidden", &ModelSpec::kvHidden);
+        v.field("params", &ModelSpec::params);
+    }
 };
 
 /** Field-wise equality (spec round-trip tests). */
-bool operator==(const ModelSpec &a, const ModelSpec &b);
+inline bool operator==(const ModelSpec &a, const ModelSpec &b)
+{
+    return sim::fieldsEqual(a, b);
+}
 inline bool operator!=(const ModelSpec &a, const ModelSpec &b)
 {
     return !(a == b);

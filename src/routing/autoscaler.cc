@@ -8,63 +8,25 @@
 
 namespace chameleon::routing {
 
-const char *
-scaleUpPolicyName(ScaleUpPolicy policy)
+sim::EnumTable<ScaleUpPolicy>
+enumTable(ScaleUpPolicy)
 {
-    switch (policy) {
-      case ScaleUpPolicy::Default: return "default";
-      case ScaleUpPolicy::Cheapest: return "cheapest";
-      case ScaleUpPolicy::Fastest: return "fastest";
-    }
-    return "?";
+    static constexpr sim::EnumName<ScaleUpPolicy> kNames[] = {
+        {ScaleUpPolicy::Default, "default"},
+        {ScaleUpPolicy::Cheapest, "cheapest"},
+        {ScaleUpPolicy::Fastest, "fastest"},
+    };
+    return kNames;
 }
 
-bool
-scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out)
+sim::EnumTable<DemandSource>
+enumTable(DemandSource)
 {
-    if (name == "default")
-        *out = ScaleUpPolicy::Default;
-    else if (name == "cheapest")
-        *out = ScaleUpPolicy::Cheapest;
-    else if (name == "fastest")
-        *out = ScaleUpPolicy::Fastest;
-    else
-        return false;
-    return true;
-}
-
-const char *
-scaleUpPolicyNames()
-{
-    return "default, cheapest, fastest";
-}
-
-const char *
-demandSourceName(DemandSource source)
-{
-    switch (source) {
-      case DemandSource::Nominal: return "nominal";
-      case DemandSource::Measured: return "measured";
-    }
-    return "?";
-}
-
-bool
-demandSourceByName(const std::string &name, DemandSource *out)
-{
-    if (name == "nominal")
-        *out = DemandSource::Nominal;
-    else if (name == "measured")
-        *out = DemandSource::Measured;
-    else
-        return false;
-    return true;
-}
-
-const char *
-demandSourceNames()
-{
-    return "nominal, measured";
+    static constexpr sim::EnumName<DemandSource> kNames[] = {
+        {DemandSource::Nominal, "nominal"},
+        {DemandSource::Measured, "measured"},
+    };
+    return kNames;
 }
 
 Autoscaler::Autoscaler(AutoscalerConfig config)
@@ -203,25 +165,6 @@ Autoscaler::evaluate(std::size_t activeReplicas,
         lowStreak_ = 0;
     }
     return decided(activeReplicas);
-}
-
-bool
-operator==(const AutoscalerConfig &a, const AutoscalerConfig &b)
-{
-    return a.minReplicas == b.minReplicas &&
-           a.maxReplicas == b.maxReplicas &&
-           a.evalPeriodSeconds == b.evalPeriodSeconds &&
-           a.highWatermark == b.highWatermark &&
-           a.lowWatermark == b.lowWatermark &&
-           a.forecastHorizonSeconds == b.forecastHorizonSeconds &&
-           a.forecastWindowSeconds == b.forecastWindowSeconds &&
-           a.replicaServiceRps == b.replicaServiceRps &&
-           a.upCooldownPeriods == b.upCooldownPeriods &&
-           a.downCooldownPeriods == b.downCooldownPeriods &&
-           a.bootMs == b.bootMs && a.scaleUpPolicy == b.scaleUpPolicy &&
-           a.measuredRateAlpha == b.measuredRateAlpha &&
-           a.demandSource == b.demandSource &&
-           a.bootAwareHorizon == b.bootAwareHorizon;
 }
 
 } // namespace chameleon::routing

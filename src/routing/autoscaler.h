@@ -38,6 +38,8 @@
 #include <string>
 
 #include "predict/load_predictor.h"
+#include "simkit/enum_table.h"
+#include "simkit/fields.h"
 #include "simkit/time.h"
 
 namespace chameleon::obs {
@@ -62,14 +64,29 @@ enum class ScaleUpPolicy {
     Fastest,
 };
 
+/** Name table (simkit/enum_table.h); the wrappers below read it. */
+sim::EnumTable<ScaleUpPolicy> enumTable(ScaleUpPolicy);
+
 /** Canonical short name (also accepted by scaleUpPolicyByName). */
-const char *scaleUpPolicyName(ScaleUpPolicy policy);
+inline const char *
+scaleUpPolicyName(ScaleUpPolicy policy)
+{
+    return sim::enumName(policy);
+}
 
 /** Parse a policy name; returns false on unknown names. */
-bool scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out);
+inline bool
+scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out)
+{
+    return sim::enumByName(name, out);
+}
 
 /** Comma-separated policy names, for error messages. */
-const char *scaleUpPolicyNames();
+inline const char *
+scaleUpPolicyNames()
+{
+    return sim::enumNames<ScaleUpPolicy>();
+}
 
 /**
  * Which per-replica service-rate estimate the cluster folds into the
@@ -87,14 +104,29 @@ enum class DemandSource {
     Measured,
 };
 
+/** Name table (simkit/enum_table.h); the wrappers below read it. */
+sim::EnumTable<DemandSource> enumTable(DemandSource);
+
 /** Canonical short name (also accepted by demandSourceByName). */
-const char *demandSourceName(DemandSource source);
+inline const char *
+demandSourceName(DemandSource source)
+{
+    return sim::enumName(source);
+}
 
 /** Parse a demand-source name; returns false on unknown names. */
-bool demandSourceByName(const std::string &name, DemandSource *out);
+inline bool
+demandSourceByName(const std::string &name, DemandSource *out)
+{
+    return sim::enumByName(name, out);
+}
 
 /** Comma-separated demand-source names, for error messages. */
-const char *demandSourceNames();
+inline const char *
+demandSourceNames()
+{
+    return sim::enumNames<DemandSource>();
+}
 
 /** Watermarks, bounds and cadence of the autoscaler. */
 struct AutoscalerConfig
@@ -156,10 +188,37 @@ struct AutoscalerConfig
      * (the default) keeps the static forecast_horizon_s.
      */
     bool bootAwareHorizon = false;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("min_replicas", &AutoscalerConfig::minReplicas);
+        v.field("max_replicas", &AutoscalerConfig::maxReplicas);
+        v.field("eval_period_s", &AutoscalerConfig::evalPeriodSeconds);
+        v.field("high_watermark", &AutoscalerConfig::highWatermark);
+        v.field("low_watermark", &AutoscalerConfig::lowWatermark);
+        v.field("forecast_horizon_s",
+                &AutoscalerConfig::forecastHorizonSeconds);
+        v.field("forecast_window_s",
+                &AutoscalerConfig::forecastWindowSeconds);
+        v.field("replica_service_rps", &AutoscalerConfig::replicaServiceRps);
+        v.field("up_cooldown_periods", &AutoscalerConfig::upCooldownPeriods);
+        v.field("down_cooldown_periods",
+                &AutoscalerConfig::downCooldownPeriods);
+        v.field("boot_ms", &AutoscalerConfig::bootMs);
+        v.field("scale_up_policy", &AutoscalerConfig::scaleUpPolicy);
+        v.field("measured_rate_alpha", &AutoscalerConfig::measuredRateAlpha);
+        v.field("demand_source", &AutoscalerConfig::demandSource);
+        v.field("boot_aware_horizon", &AutoscalerConfig::bootAwareHorizon);
+    }
 };
 
 /** Field-wise equality (spec round-trip tests). */
-bool operator==(const AutoscalerConfig &a, const AutoscalerConfig &b);
+inline bool operator==(const AutoscalerConfig &a, const AutoscalerConfig &b)
+{
+    return sim::fieldsEqual(a, b);
+}
 inline bool operator!=(const AutoscalerConfig &a, const AutoscalerConfig &b)
 {
     return !(a == b);

@@ -12,44 +12,19 @@
 
 namespace chameleon::routing {
 
-const char *
-routerPolicyName(RouterPolicy policy)
+sim::EnumTable<RouterPolicy>
+enumTable(RouterPolicy)
 {
-    switch (policy) {
-      case RouterPolicy::RoundRobin: return "rr";
-      case RouterPolicy::JoinShortestQueue: return "jsq";
-      case RouterPolicy::PowerOfTwoChoices: return "p2c";
-      case RouterPolicy::AdapterAffinity: return "affinity";
-      case RouterPolicy::AdapterAffinityCacheAware: return "affinity-cache";
-      case RouterPolicy::AdapterAffinityDirectory: return "affinity-dir";
-    }
-    return "?";
-}
-
-const char *
-routerPolicyNames()
-{
-    return "rr, jsq, p2c, affinity, affinity-cache, affinity-dir";
-}
-
-bool
-routerPolicyByName(const std::string &name, RouterPolicy *out)
-{
-    if (name == "rr" || name == "round-robin")
-        *out = RouterPolicy::RoundRobin;
-    else if (name == "jsq")
-        *out = RouterPolicy::JoinShortestQueue;
-    else if (name == "p2c")
-        *out = RouterPolicy::PowerOfTwoChoices;
-    else if (name == "affinity")
-        *out = RouterPolicy::AdapterAffinity;
-    else if (name == "affinity-cache")
-        *out = RouterPolicy::AdapterAffinityCacheAware;
-    else if (name == "affinity-dir")
-        *out = RouterPolicy::AdapterAffinityDirectory;
-    else
-        return false;
-    return true;
+    static constexpr sim::EnumName<RouterPolicy> kNames[] = {
+        {RouterPolicy::RoundRobin, "rr"},
+        {RouterPolicy::RoundRobin, "round-robin"},
+        {RouterPolicy::JoinShortestQueue, "jsq"},
+        {RouterPolicy::PowerOfTwoChoices, "p2c"},
+        {RouterPolicy::AdapterAffinity, "affinity"},
+        {RouterPolicy::AdapterAffinityCacheAware, "affinity-cache"},
+        {RouterPolicy::AdapterAffinityDirectory, "affinity-dir"},
+    };
+    return kNames;
 }
 
 namespace {
@@ -400,15 +375,6 @@ makeRouter(RouterPolicy policy, const RouterConfig &config)
             config, AdapterAffinityRouter::Mode::Directory);
     }
     CHM_PANIC("unknown router policy");
-}
-
-bool
-operator==(const RouterConfig &a, const RouterConfig &b)
-{
-    return a.seed == b.seed && a.virtualNodes == b.virtualNodes &&
-           a.spillLoadFactor == b.spillLoadFactor &&
-           a.spillMargin == b.spillMargin &&
-           a.sloAdmission == b.sloAdmission;
 }
 
 } // namespace chameleon::routing

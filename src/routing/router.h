@@ -41,6 +41,8 @@
 #include <vector>
 
 #include "model/adapter.h"
+#include "simkit/enum_table.h"
+#include "simkit/fields.h"
 #include "workload/request.h"
 
 namespace chameleon::obs {
@@ -141,14 +143,29 @@ enum class RouterPolicy {
     AdapterAffinityDirectory,
 };
 
+/** Name table (simkit/enum_table.h); the wrappers below read it. */
+sim::EnumTable<RouterPolicy> enumTable(RouterPolicy);
+
 /** Canonical short name (also accepted by routerPolicyByName). */
-const char *routerPolicyName(RouterPolicy policy);
+inline const char *
+routerPolicyName(RouterPolicy policy)
+{
+    return sim::enumName(policy);
+}
 
 /** Parse a policy name; returns false on unknown names. */
-bool routerPolicyByName(const std::string &name, RouterPolicy *out);
+inline bool
+routerPolicyByName(const std::string &name, RouterPolicy *out)
+{
+    return sim::enumByName(name, out);
+}
 
 /** Comma-separated policy names, for error messages. */
-const char *routerPolicyNames();
+inline const char *
+routerPolicyNames()
+{
+    return sim::enumNames<RouterPolicy>();
+}
 
 /** Knobs shared by the stochastic and affinity policies. */
 struct RouterConfig
@@ -176,10 +193,24 @@ struct RouterConfig
      * default) leaves every decision to the base policy, bit-identically.
      */
     bool sloAdmission = false;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.seed("seed", &RouterConfig::seed);
+        v.field("virtual_nodes", &RouterConfig::virtualNodes);
+        v.field("spill_load_factor", &RouterConfig::spillLoadFactor);
+        v.field("spill_margin", &RouterConfig::spillMargin);
+        v.field("slo_admission", &RouterConfig::sloAdmission);
+    }
 };
 
 /** Field-wise equality (spec round-trip tests). */
-bool operator==(const RouterConfig &a, const RouterConfig &b);
+inline bool operator==(const RouterConfig &a, const RouterConfig &b)
+{
+    return sim::fieldsEqual(a, b);
+}
 inline bool operator!=(const RouterConfig &a, const RouterConfig &b)
 {
     return !(a == b);

@@ -40,6 +40,7 @@
 #include "serving/metrics.h"
 #include "serving/request_slab.h"
 #include "serving/scheduler.h"
+#include "simkit/fields.h"
 #include "simkit/simulator.h"
 #include "workload/trace.h"
 
@@ -91,10 +92,36 @@ struct EngineConfig
     int kvPageTokens = 16;
     /** Sample memory series at this period. */
     sim::SimTime memSamplePeriod = sim::kSec;
+
+    /** Every member once, with its spec-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("model", &EngineConfig::model);
+        v.field("gpu", &EngineConfig::gpu);
+        v.field("tp_degree", &EngineConfig::tpDegree);
+        v.field("cost", &EngineConfig::cost);
+        v.field("workspace_per_gpu", &EngineConfig::workspacePerGpu);
+        v.field("admission_token_budget",
+                &EngineConfig::admissionTokenBudget);
+        v.field("max_new_tokens", &EngineConfig::maxNewTokens);
+        // Derived from `reservation` by the Runner; kept for completeness.
+        v.field("predicted_reservation",
+                &EngineConfig::predictedReservation);
+        v.field("prefill_chunk_tokens", &EngineConfig::prefillChunkTokens);
+        v.field("max_admissions_per_iter",
+                &EngineConfig::maxAdmissionsPerIter);
+        v.field("max_running", &EngineConfig::maxRunning);
+        v.field("kv_page_tokens", &EngineConfig::kvPageTokens);
+        v.seconds("mem_sample_period_s", &EngineConfig::memSamplePeriod);
+    }
 };
 
 /** Field-wise equality (spec round-trip tests). */
-bool operator==(const EngineConfig &a, const EngineConfig &b);
+inline bool operator==(const EngineConfig &a, const EngineConfig &b)
+{
+    return sim::fieldsEqual(a, b);
+}
 inline bool operator!=(const EngineConfig &a, const EngineConfig &b)
 {
     return !(a == b);

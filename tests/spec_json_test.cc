@@ -10,7 +10,8 @@
  *    and validate() contradictions all name the offending key;
  *  - SystemSpec::operator== distinguishes every axis;
  *  - pinned dumps: the exact bytes specToJson prints for every preset
- *    and for the fleet, fabric, closed-loop and tenancy specs.
+ *    and for the fleet, fabric, closed-loop and tenancy specs;
+ *  - every spec struct member is in its field list.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "chameleon/system_registry.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
+#include "simkit/fields.h"
 #include "simkit/rng.h"
 
 using namespace chameleon;
@@ -764,5 +766,77 @@ TEST(SpecJson, DumpBytesArePinned)
         EXPECT_TRUE(it != pinned.end() && it->second == hash)
             << "dump of \"" << label << "\" changed or is not pinned: "
             << "{\"" << label << "\", 0x" << std::hex << hash << "ull},";
+    }
+}
+
+// ---------------------------------------------------------------------
+// Field lists: print, parse and operator== all walk them, so a member
+// missing from its list would be skipped by all three at once and no
+// round trip could notice.
+// ---------------------------------------------------------------------
+
+TEST(SpecFields, EveryMemberIsInItsFieldList)
+{
+    // A structured binding compiles only with one name per member, so a
+    // member added to a spec struct breaks this build until its count
+    // here is raised; the count then fails until the member joins the
+    // struct's fields() list too.
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e] = model::ModelSpec{};
+        EXPECT_EQ(sim::fieldCount<model::ModelSpec>(), 5u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f] = model::GpuSpec{};
+        EXPECT_EQ(sim::fieldCount<model::GpuSpec>(), 6u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i, j, k] =
+            model::CostParams{};
+        EXPECT_EQ(sim::fieldCount<model::CostParams>(), 11u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i, j, k, l, m] =
+            serving::EngineConfig{};
+        EXPECT_EQ(sim::fieldCount<serving::EngineConfig>(), 13u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f, g] =
+            core::SchedulerSpec{};
+        EXPECT_EQ(sim::fieldCount<core::SchedulerSpec>(), 7u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d] = core::AdapterSpec{};
+        EXPECT_EQ(sim::fieldCount<core::AdapterSpec>(), 4u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c] = core::PredictorSpec{};
+        EXPECT_EQ(sim::fieldCount<core::PredictorSpec>(), 3u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e] = routing::RouterConfig{};
+        EXPECT_EQ(sim::fieldCount<routing::RouterConfig>(), 5u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h,
+                                      i, j, k, l, m, n, o] =
+            routing::AutoscalerConfig{};
+        EXPECT_EQ(sim::fieldCount<routing::AutoscalerConfig>(), 15u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f] = core::ClusterSpec{};
+        EXPECT_EQ(sim::fieldCount<core::ClusterSpec>(), 6u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d] = core::TenancySpec{};
+        EXPECT_EQ(sim::fieldCount<core::TenancySpec>(), 4u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c] = core::FabricSpec{};
+        EXPECT_EQ(sim::fieldCount<core::FabricSpec>(), 3u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i, j, k] =
+            core::SystemSpec{};
+        EXPECT_EQ(sim::fieldCount<core::SystemSpec>(), 11u);
     }
 }
