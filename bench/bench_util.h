@@ -7,8 +7,9 @@
  * an A40-48GB GPU, Na=100 adapters with ranks {8,16,32,64,128}, uniform
  * rank popularity and power-law adapter popularity, Poisson arrivals
  * with Splitwise-like length distributions. Output is a plain-text
- * table on stdout with "paper reports" annotations so EXPERIMENTS.md
- * can record paper-vs-measured per experiment.
+ * table on stdout with "paper reports" annotations, so each run shows
+ * paper and measured values side by side (bench/README.md lists the
+ * binaries).
  */
 
 #ifndef CHAMELEON_BENCH_BENCH_UTIL_H

@@ -6,7 +6,9 @@
  * engine knob, the full ClusterSpec — as pretty JSON; specFromJson
  * parses it back onto the documented defaults. The pair is
  * round-trip-stable: parse(print(spec)) == spec under
- * SystemSpec::operator==, asserted by tests/spec_json_test.cc.
+ * SystemSpec::operator==, asserted by tests/spec_json_test.cc. Print,
+ * parse and operator== all walk each struct's one field list
+ * (simkit/fields.h), so a key is spelled once, next to its member.
  *
  * Parsing is strict and partial at once: any key may be omitted (its
  * default survives — `{}` is the paper testbed's full Chameleon), but

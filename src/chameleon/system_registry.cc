@@ -88,6 +88,7 @@ SystemRegistry::applyModifier(SystemSpec &spec, const std::string &token,
                               std::string *error)
 {
     long long value = 0;
+    SchedulerPolicy scheduler = SchedulerPolicy::Mlq;
     // Eviction axis (implies the chameleon cache stays required;
     // validate() rejects the combination on a cacheless base).
     if (token == "lru") {
@@ -98,17 +99,9 @@ SystemRegistry::applyModifier(SystemSpec &spec, const std::string &token,
         spec.adapters.eviction = EvictionKind::Gdsf;
     } else if (token == "paper") {
         spec.adapters.eviction = EvictionKind::Paper;
-    // Scheduler axis.
-    } else if (token == "fifo") {
-        spec.scheduler.policy = SchedulerPolicy::Fifo;
-    } else if (token == "sjf") {
-        spec.scheduler.policy = SchedulerPolicy::Sjf;
-    } else if (token == "mlq") {
-        spec.scheduler.policy = SchedulerPolicy::Mlq;
-    } else if (token == "wfq") {
-        spec.scheduler.policy = SchedulerPolicy::Wfq;
-    } else if (token == "drr") {
-        spec.scheduler.policy = SchedulerPolicy::Drr;
+    // Scheduler axis: the policy names themselves.
+    } else if (schedulerPolicyByName(token, &scheduler)) {
+        spec.scheduler.policy = scheduler;
     // Adapter-management axis.
     } else if (token == "cache") {
         spec.adapters.policy = AdapterPolicy::ChameleonCache;
@@ -229,11 +222,14 @@ SystemRegistry::description(const std::string &name) const
 std::vector<std::string>
 SystemRegistry::modifierHelp()
 {
-    return {"lru",     "fairshare", "gdsf",       "paper",
-            "fifo",    "sjf",       "mlq",        "wfq",
-            "drr",     "cache",     "ondemand",   "prefetch[K]",
-            "noprefetch", "bypass", "nobypass",   "static",
-            "dynamic", "history",   "bert",       "chunked[N]"};
+    std::vector<std::string> help = {"lru", "fairshare", "gdsf", "paper"};
+    for (const auto &row : enumTable(SchedulerPolicy{}))
+        help.push_back(row.name);
+    help.insert(help.end(),
+                {"cache", "ondemand", "prefetch[K]", "noprefetch",
+                 "bypass", "nobypass", "static", "dynamic", "history",
+                 "bert", "chunked[N]"});
+    return help;
 }
 
 } // namespace chameleon::core

@@ -157,21 +157,21 @@ SystemSpec::validate() const
            << "list for a homogeneous fleet)";
         err(os);
     }
-    for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i) {
-        if (cluster.replicaEngines[i].tpDegree < 1) {
+    // The cost model splits work across a power-of-two GPU group.
+    auto checkTp = [&err](const std::string &key, int tp) {
+        if (tp < 1 || (tp & (tp - 1)) != 0) {
             std::ostringstream os;
-            os << "cluster.replicaEngines[" << i
-               << "].tpDegree must be >= 1 (got "
-               << cluster.replicaEngines[i].tpDegree << ")";
+            os << key << " must be a power of two >= 1 (got " << tp
+               << ")";
             err(os);
         }
+    };
+    for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i) {
+        checkTp("cluster.replicaEngines[" + std::to_string(i) +
+                    "].tpDegree",
+                cluster.replicaEngines[i].tpDegree);
     }
-    if (engine.tpDegree < 1) {
-        std::ostringstream os;
-        os << "engine.tpDegree must be >= 1 (got " << engine.tpDegree
-           << ")";
-        err(os);
-    }
+    checkTp("engine.tpDegree", engine.tpDegree);
     if (chunkedPrefill && chunkTokens <= 0) {
         std::ostringstream os;
         os << "chunked prefill enabled with non-positive chunk size ("

@@ -67,23 +67,19 @@ sim::EnumTable<AdapterPolicy> enumTable(AdapterPolicy);
 sim::EnumTable<EvictionKind> enumTable(EvictionKind);
 sim::EnumTable<ReservationPolicy> enumTable(ReservationPolicy);
 
-inline const char *
-schedulerPolicyName(SchedulerPolicy policy)
+inline const char *schedulerPolicyName(SchedulerPolicy policy)
 {
     return sim::enumName(policy);
 }
-inline const char *
-adapterPolicyName(AdapterPolicy policy)
+inline const char *adapterPolicyName(AdapterPolicy policy)
 {
     return sim::enumName(policy);
 }
-inline const char *
-evictionPolicyName(EvictionKind policy)
+inline const char *evictionPolicyName(EvictionKind policy)
 {
     return sim::enumName(policy);
 }
-inline const char *
-reservationPolicyName(ReservationPolicy policy)
+inline const char *reservationPolicyName(ReservationPolicy policy)
 {
     return sim::enumName(policy);
 }
@@ -94,13 +90,11 @@ schedulerPolicyByName(const std::string &name, SchedulerPolicy *out)
 {
     return sim::enumByName(name, out);
 }
-inline bool
-adapterPolicyByName(const std::string &name, AdapterPolicy *out)
+inline bool adapterPolicyByName(const std::string &name, AdapterPolicy *out)
 {
     return sim::enumByName(name, out);
 }
-inline bool
-evictionPolicyByName(const std::string &name, EvictionKind *out)
+inline bool evictionPolicyByName(const std::string &name, EvictionKind *out)
 {
     return sim::enumByName(name, out);
 }
@@ -387,73 +381,59 @@ struct SystemSpec
  * JSON round-trip tests can assert spec equivalence directly instead
  * of comparing re-printed strings.
  */
-inline bool
-operator==(const PredictorSpec &a, const PredictorSpec &b)
+inline bool operator==(const PredictorSpec &a, const PredictorSpec &b)
 {
     return sim::fieldsEqual(a, b);
 }
-inline bool
-operator==(const SchedulerSpec &a, const SchedulerSpec &b)
+inline bool operator==(const SchedulerSpec &a, const SchedulerSpec &b)
 {
     return sim::fieldsEqual(a, b);
 }
-inline bool
-operator==(const AdapterSpec &a, const AdapterSpec &b)
+inline bool operator==(const AdapterSpec &a, const AdapterSpec &b)
 {
     return sim::fieldsEqual(a, b);
 }
-inline bool
-operator==(const ClusterSpec &a, const ClusterSpec &b)
+inline bool operator==(const ClusterSpec &a, const ClusterSpec &b)
 {
     return sim::fieldsEqual(a, b);
 }
-inline bool
-operator==(const TenancySpec &a, const TenancySpec &b)
+inline bool operator==(const TenancySpec &a, const TenancySpec &b)
 {
     return sim::fieldsEqual(a, b);
 }
-inline bool
-operator==(const FabricSpec &a, const FabricSpec &b)
+inline bool operator==(const FabricSpec &a, const FabricSpec &b)
 {
     return sim::fieldsEqual(a, b);
 }
-inline bool
-operator==(const SystemSpec &a, const SystemSpec &b)
+inline bool operator==(const SystemSpec &a, const SystemSpec &b)
 {
     return sim::fieldsEqual(a, b);
 }
-inline bool
-operator!=(const PredictorSpec &a, const PredictorSpec &b)
+inline bool operator!=(const PredictorSpec &a, const PredictorSpec &b)
 {
     return !(a == b);
 }
-inline bool
-operator!=(const SchedulerSpec &a, const SchedulerSpec &b)
+inline bool operator!=(const SchedulerSpec &a, const SchedulerSpec &b)
 {
     return !(a == b);
 }
-inline bool
-operator!=(const AdapterSpec &a, const AdapterSpec &b)
+inline bool operator!=(const AdapterSpec &a, const AdapterSpec &b)
 {
     return !(a == b);
 }
-inline bool
-operator!=(const ClusterSpec &a, const ClusterSpec &b)
+inline bool operator!=(const ClusterSpec &a, const ClusterSpec &b)
 {
     return !(a == b);
 }
-inline bool
-operator!=(const TenancySpec &a, const TenancySpec &b)
+inline bool operator!=(const TenancySpec &a, const TenancySpec &b)
 {
     return !(a == b);
 }
-inline bool
-operator!=(const FabricSpec &a, const FabricSpec &b)
+inline bool operator!=(const FabricSpec &a, const FabricSpec &b)
 {
     return !(a == b);
 }
-inline bool
-operator!=(const SystemSpec &a, const SystemSpec &b)
+inline bool operator!=(const SystemSpec &a, const SystemSpec &b)
 {
     return !(a == b);
 }

@@ -35,14 +35,12 @@ enum class WrsForm {
 sim::EnumTable<WrsForm> enumTable(WrsForm);
 
 /** Canonical name (also accepted by wrsFormByName). */
-inline const char *
-wrsFormName(WrsForm form)
+inline const char *wrsFormName(WrsForm form)
 {
     return sim::enumName(form);
 }
 /** Parse a form name; returns false on unknown names. */
-inline bool
-wrsFormByName(const std::string &name, WrsForm *out)
+inline bool wrsFormByName(const std::string &name, WrsForm *out)
 {
     return sim::enumByName(name, out);
 }

@@ -62,8 +62,7 @@ enum class MigrationPolicy {
 sim::EnumTable<MigrationPolicy> enumTable(MigrationPolicy);
 
 /** Canonical short name (also accepted by migrationPolicyByName). */
-inline const char *
-migrationPolicyName(MigrationPolicy policy)
+inline const char *migrationPolicyName(MigrationPolicy policy)
 {
     return sim::enumName(policy);
 }
@@ -76,8 +75,7 @@ migrationPolicyByName(const std::string &name, MigrationPolicy *out)
 }
 
 /** Comma-separated policy names, for error messages. */
-inline const char *
-migrationPolicyNames()
+inline const char *migrationPolicyNames()
 {
     return sim::enumNames<MigrationPolicy>();
 }

@@ -44,22 +44,19 @@ enum class TopologyKind {
 sim::EnumTable<TopologyKind> enumTable(TopologyKind);
 
 /** Canonical short name (also accepted by topologyByName). */
-inline const char *
-topologyName(TopologyKind kind)
+inline const char *topologyName(TopologyKind kind)
 {
     return sim::enumName(kind);
 }
 
 /** Parse a topology name; returns false on unknown names. */
-inline bool
-topologyByName(const std::string &name, TopologyKind *out)
+inline bool topologyByName(const std::string &name, TopologyKind *out)
 {
     return sim::enumByName(name, out);
 }
 
 /** Comma-separated topology names, for error messages. */
-inline const char *
-topologyNames()
+inline const char *topologyNames()
 {
     return sim::enumNames<TopologyKind>();
 }

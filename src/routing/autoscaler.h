@@ -68,22 +68,19 @@ enum class ScaleUpPolicy {
 sim::EnumTable<ScaleUpPolicy> enumTable(ScaleUpPolicy);
 
 /** Canonical short name (also accepted by scaleUpPolicyByName). */
-inline const char *
-scaleUpPolicyName(ScaleUpPolicy policy)
+inline const char *scaleUpPolicyName(ScaleUpPolicy policy)
 {
     return sim::enumName(policy);
 }
 
 /** Parse a policy name; returns false on unknown names. */
-inline bool
-scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out)
+inline bool scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out)
 {
     return sim::enumByName(name, out);
 }
 
 /** Comma-separated policy names, for error messages. */
-inline const char *
-scaleUpPolicyNames()
+inline const char *scaleUpPolicyNames()
 {
     return sim::enumNames<ScaleUpPolicy>();
 }
@@ -108,22 +105,19 @@ enum class DemandSource {
 sim::EnumTable<DemandSource> enumTable(DemandSource);
 
 /** Canonical short name (also accepted by demandSourceByName). */
-inline const char *
-demandSourceName(DemandSource source)
+inline const char *demandSourceName(DemandSource source)
 {
     return sim::enumName(source);
 }
 
 /** Parse a demand-source name; returns false on unknown names. */
-inline bool
-demandSourceByName(const std::string &name, DemandSource *out)
+inline bool demandSourceByName(const std::string &name, DemandSource *out)
 {
     return sim::enumByName(name, out);
 }
 
 /** Comma-separated demand-source names, for error messages. */
-inline const char *
-demandSourceNames()
+inline const char *demandSourceNames()
 {
     return sim::enumNames<DemandSource>();
 }

@@ -104,7 +104,11 @@ class LoadSnapshot
 class RoundRobinRouter final : public Router
 {
   public:
-    const char *name() const override { return "rr"; }
+    const char *
+    name() const override
+    {
+        return routerPolicyName(RouterPolicy::RoundRobin);
+    }
 
     std::size_t
     route(const workload::Request &, const ClusterView &view) override
@@ -130,7 +134,11 @@ class RoundRobinRouter final : public Router
 class JoinShortestQueueRouter final : public Router
 {
   public:
-    const char *name() const override { return "jsq"; }
+    const char *
+    name() const override
+    {
+        return routerPolicyName(RouterPolicy::JoinShortestQueue);
+    }
 
     std::size_t
     route(const workload::Request &, const ClusterView &view) override
@@ -155,7 +163,11 @@ class PowerOfTwoChoicesRouter final : public Router
     {
     }
 
-    const char *name() const override { return "p2c"; }
+    const char *
+    name() const override
+    {
+        return routerPolicyName(RouterPolicy::PowerOfTwoChoices);
+    }
 
     std::size_t
     route(const workload::Request &, const ClusterView &view) override
@@ -185,26 +197,16 @@ class PowerOfTwoChoicesRouter final : public Router
 class AdapterAffinityRouter final : public Router
 {
   public:
-    /** How the router learns residency before falling back to the
-     * hash ring: not at all, by scanning every replica's cache, or by
-     * one residency-directory lookup. */
-    enum class Mode { Hash, Scan, Directory };
-
-    AdapterAffinityRouter(const RouterConfig &config, Mode mode)
-        : config_(config), mode_(mode), ring_(config.virtualNodes)
+    /** `policy` is one of the three affinity policies: plain
+     * AdapterAffinity goes straight to the hash ring; the cache-aware
+     * and directory policies first prefer a replica already holding
+     * the adapter. */
+    AdapterAffinityRouter(const RouterConfig &config, RouterPolicy policy)
+        : config_(config), policy_(policy), ring_(config.virtualNodes)
     {
     }
 
-    const char *
-    name() const override
-    {
-        switch (mode_) {
-          case Mode::Hash: return "affinity";
-          case Mode::Scan: return "affinity-cache";
-          case Mode::Directory: return "affinity-dir";
-        }
-        return "?";
-    }
+    const char *name() const override { return routerPolicyName(policy_); }
 
     std::size_t
     route(const workload::Request &request,
@@ -220,42 +222,19 @@ class AdapterAffinityRouter final : public Router
             return snapshot_.leastLoaded();
 
         const double limit = spillLimit();
-        if (mode_ == Mode::Directory) {
-            // True cache-hit routing: one directory lookup yields the
-            // holders; pick the least loaded under the spill bound.
-            // Same decision the Scan mode reaches by interrogating all
-            // n replicas, at O(holders) per request.
+        if (policy_ != RouterPolicy::AdapterAffinity) {
+            // A replica that already holds the adapter serves it with
+            // zero loading cost even if the hash owner differs (e.g.
+            // residency left over from spillover or a ring resize):
+            // pick the least loaded holder under the spill bound. A
+            // view backed by the residency directory names the holders
+            // in O(holders); any other view scans its replicas.
             view.residentReplicas(request.adapter, &holders_);
             std::size_t best = n;
             double bestLoad = std::numeric_limits<double>::infinity();
             for (const std::size_t i : holders_) {
                 if (i >= n)
                     continue; // stale view index: never dispatch to it
-                const double load = snapshot_.load(i);
-                if (load < bestLoad) {
-                    best = i;
-                    bestLoad = load;
-                }
-            }
-            if (best < n && bestLoad <= limit) {
-                if (trace_ != nullptr) {
-                    trace_->instant(obs::kClusterPid,
-                                    obs::Lane::Control,
-                                    "route_dir_hit", clock_->now(),
-                                    {{"adapter", request.adapter},
-                                     {"replica", best}});
-                }
-                return best;
-            }
-        } else if (mode_ == Mode::Scan) {
-            // A replica that already holds the adapter serves it with
-            // zero loading cost even if the hash owner differs (e.g.
-            // residency left over from spillover or a ring resize).
-            std::size_t best = n;
-            double bestLoad = std::numeric_limits<double>::infinity();
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!view.adapterResident(i, request.adapter))
-                    continue;
                 const double load = snapshot_.load(i);
                 if (load < bestLoad) {
                     best = i;
@@ -345,11 +324,11 @@ class AdapterAffinityRouter final : public Router
     }
 
     RouterConfig config_;
-    Mode mode_;
+    RouterPolicy policy_;
     ConsistentHashRing ring_;
     bool ringDirty_ = false;
     LoadSnapshot snapshot_; // reused across decisions
-    std::vector<std::size_t> holders_; // directory-lookup scratch
+    std::vector<std::size_t> holders_; // residentReplicas scratch
 };
 
 } // namespace
@@ -365,14 +344,9 @@ makeRouter(RouterPolicy policy, const RouterConfig &config)
       case RouterPolicy::PowerOfTwoChoices:
         return std::make_unique<PowerOfTwoChoicesRouter>(config.seed);
       case RouterPolicy::AdapterAffinity:
-        return std::make_unique<AdapterAffinityRouter>(
-            config, AdapterAffinityRouter::Mode::Hash);
       case RouterPolicy::AdapterAffinityCacheAware:
-        return std::make_unique<AdapterAffinityRouter>(
-            config, AdapterAffinityRouter::Mode::Scan);
       case RouterPolicy::AdapterAffinityDirectory:
-        return std::make_unique<AdapterAffinityRouter>(
-            config, AdapterAffinityRouter::Mode::Directory);
+        return std::make_unique<AdapterAffinityRouter>(config, policy);
     }
     CHM_PANIC("unknown router policy");
 }

@@ -134,12 +134,12 @@ enum class RouterPolicy {
     JoinShortestQueue,
     PowerOfTwoChoices,
     AdapterAffinity,
+    /** Affinity that first prefers the least-loaded replica already
+     * holding the adapter (ClusterView::residentReplicas). */
     AdapterAffinityCacheAware,
-    /** Affinity with true cache-hit routing: residency comes from the
-     * cluster residency directory (ClusterView::residentReplicas, one
-     * lookup) instead of the cache-aware per-replica scan. Requires a
-     * view backed by the cache fabric's directory to beat the scan;
-     * decisions are identical where both see the same residency. */
+    /** The same decisions as AdapterAffinityCacheAware, and the run
+     * gets the cache fabric: its residency directory answers
+     * residentReplicas in one lookup instead of a per-replica scan. */
     AdapterAffinityDirectory,
 };
 
@@ -147,22 +147,19 @@ enum class RouterPolicy {
 sim::EnumTable<RouterPolicy> enumTable(RouterPolicy);
 
 /** Canonical short name (also accepted by routerPolicyByName). */
-inline const char *
-routerPolicyName(RouterPolicy policy)
+inline const char *routerPolicyName(RouterPolicy policy)
 {
     return sim::enumName(policy);
 }
 
 /** Parse a policy name; returns false on unknown names. */
-inline bool
-routerPolicyByName(const std::string &name, RouterPolicy *out)
+inline bool routerPolicyByName(const std::string &name, RouterPolicy *out)
 {
     return sim::enumByName(name, out);
 }
 
 /** Comma-separated policy names, for error messages. */
-inline const char *
-routerPolicyNames()
+inline const char *routerPolicyNames()
 {
     return sim::enumNames<RouterPolicy>();
 }

@@ -435,7 +435,6 @@ ServingEngine::finishIteration(SimTime duration,
     std::vector<LiveRequest *> finished;
     for (LiveRequest *r : running_) {
         ++r->generated;
-        r->lastTokenTime = now;
         if (r->generated >= r->req.outputTokens) {
             finished.push_back(r);
         } else {
@@ -472,7 +471,6 @@ ServingEngine::finishIteration(SimTime duration,
             continue;
         // First token produced by the prefill step.
         r->firstTokenTime = now;
-        r->lastTokenTime = now;
         r->generated = 1;
         prefilling_.erase(
             std::find(prefilling_.begin(), prefilling_.end(), r));
@@ -596,7 +594,6 @@ ServingEngine::squash(LiveRequest *r)
     r->prefilled = 0;
     r->generated = 0;
     r->firstTokenTime = sim::kTimeNever;
-    r->lastTokenTime = sim::kTimeNever;
     r->adapterReadyTime = 0;
     scheduler_->requeueFront(r);
     if (r->hasAdapter())

@@ -52,8 +52,6 @@ struct LiveRequest
     sim::SimTime adapterReadyTime = 0;
     /** Adapter-load time spent on this request's critical path. */
     sim::SimTime adapterStall = 0;
-    /** Timestamp of the most recent emitted token (TBT bookkeeping). */
-    sim::SimTime lastTokenTime = sim::kTimeNever;
 
     /** Weighted request size assigned by the Chameleon scheduler. */
     double wrs = 0.0;

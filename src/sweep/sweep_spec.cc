@@ -8,6 +8,7 @@
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "routing/router.h"
+#include "simkit/enum_table.h"
 #include "simkit/json.h"
 
 namespace chameleon::sweep {
@@ -204,6 +205,29 @@ gridFromJson(const JsonValue &v, SweepSpec *out, std::string *error)
     return true;
 }
 
+/** Resolve an axis of enum names through the enum's name table; an
+ * unknown name fails naming the axis and listing the valid options. */
+template <typename Enum>
+bool
+resolveNames(const std::vector<std::string> &names, const char *axis,
+             const char *noun,
+             std::vector<std::pair<std::string, Enum>> *out,
+             std::string *error)
+{
+    for (const auto &name : names) {
+        Enum value{};
+        if (!sim::enumByName(name, &value)) {
+            if (error != nullptr)
+                *error = std::string("sweep ") + axis + ": unknown " +
+                         noun + " \"" + name +
+                         "\"; known: " + sim::enumNames<Enum>();
+            return false;
+        }
+        out->emplace_back(name, value);
+    }
+    return true;
+}
+
 } // namespace
 
 std::optional<SweepSpec>
@@ -387,46 +411,20 @@ expandSweep(const SweepSpec &spec, std::string *error)
                                   : spec.sloAdmission;
 
     // The fabric axes: migration policies and peer topologies, each
-    // resolved through the fabric registries up front so an unknown
-    // name fails once with the valid options, not per cell.
-    struct MigrationAxisValue
-    {
-        std::string name;
-        fabric::MigrationPolicy policy = fabric::MigrationPolicy::Off;
-    };
-    std::vector<MigrationAxisValue> migrationAxis;
-    for (const auto &name :
-         spec.migrations.empty() ? std::vector<std::string>{"off"}
-                                 : spec.migrations) {
-        MigrationAxisValue value;
-        value.name = name;
-        if (!fabric::migrationPolicyByName(name, &value.policy)) {
-            if (error != nullptr)
-                *error = "sweep migrations: unknown policy \"" + name +
-                         "\"; known: " + fabric::migrationPolicyNames();
-            return std::nullopt;
-        }
-        migrationAxis.push_back(std::move(value));
-    }
-    struct TopologyAxisValue
-    {
-        std::string name;
-        fabric::TopologyKind kind = fabric::TopologyKind::PciePeer;
-    };
-    std::vector<TopologyAxisValue> topologyAxis;
-    for (const auto &name :
-         spec.topologies.empty() ? std::vector<std::string>{"pcie"}
-                                 : spec.topologies) {
-        TopologyAxisValue value;
-        value.name = name;
-        if (!fabric::topologyByName(name, &value.kind)) {
-            if (error != nullptr)
-                *error = "sweep topologies: unknown topology \"" + name +
-                         "\"; known: " + fabric::topologyNames();
-            return std::nullopt;
-        }
-        topologyAxis.push_back(std::move(value));
-    }
+    // resolved through its name table up front so an unknown name
+    // fails once with the valid options, not per cell.
+    std::vector<std::pair<std::string, fabric::MigrationPolicy>>
+        migrationAxis;
+    std::vector<std::pair<std::string, fabric::TopologyKind>> topologyAxis;
+    if (!resolveNames(spec.migrations.empty()
+                          ? std::vector<std::string>{"off"}
+                          : spec.migrations,
+                      "migrations", "policy", &migrationAxis, error) ||
+        !resolveNames(spec.topologies.empty()
+                          ? std::vector<std::string>{"pcie"}
+                          : spec.topologies,
+                      "topologies", "topology", &topologyAxis, error))
+        return std::nullopt;
 
     // The deployment axis: either homogeneous replica counts or
     // heterogeneous fleet presets (mutually exclusive — a fleet
@@ -497,8 +495,8 @@ expandSweep(const SweepSpec &spec, std::string *error)
                     cell.router = router;
                     cell.autoscale = autoscale;
                     cell.sloAdmission = sloAdmission;
-                    cell.migration = migration.name;
-                    cell.topology = topology.name;
+                    cell.migration = migration.first;
+                    cell.topology = topology.first;
                     cell.rps = spec.rpsPerReplica
                                    ? loads[li] * replicaCount
                                    : loads[li];
@@ -527,8 +525,8 @@ expandSweep(const SweepSpec &spec, std::string *error)
                     if (autoscale)
                         cell.spec.cluster.autoscaler = spec.autoscaler;
                     cell.spec.fabric = spec.fabric;
-                    cell.spec.fabric.migration = migration.policy;
-                    cell.spec.fabric.topology = topology.kind;
+                    cell.spec.fabric.migration = migration.second;
+                    cell.spec.fabric.topology = topology.second;
 
                     const auto problems = cell.spec.validate();
                     if (!problems.empty()) {

@@ -60,7 +60,8 @@ randomSpec(sim::Rng &rng)
                                        : model::a100(rng.nextBelow(2)
                                                          ? 48
                                                          : 80);
-    spec.engine.tpDegree = 1 + static_cast<int>(rng.nextBelow(4));
+    const int tpDegrees[] = {1, 2, 4, 8};
+    spec.engine.tpDegree = tpDegrees[rng.nextBelow(4)];
     spec.engine.workspacePerGpu =
         (1ll + static_cast<std::int64_t>(rng.nextBelow(8))) << 30;
     spec.engine.maxNewTokens = 128 + static_cast<std::int64_t>(

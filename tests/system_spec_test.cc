@@ -403,6 +403,24 @@ TEST(SpecValidation, RejectsNonPositiveReplicas)
     EXPECT_TRUE(hasErrorContaining(spec, "cluster.replicas"));
 }
 
+TEST(SpecValidation, RejectsNonPowerOfTwoTpDegree)
+{
+    // The cost model would abort on these; validate() names them first.
+    auto spec = core::presets::chameleon();
+    for (const int tp : {1, 2, 4, 8}) {
+        spec.engine.tpDegree = tp;
+        EXPECT_TRUE(spec.validate().empty()) << tp;
+    }
+    spec.engine.tpDegree = 3;
+    EXPECT_TRUE(hasErrorContaining(spec, "engine.tpDegree"));
+    spec.engine.tpDegree = 1;
+    spec.cluster.replicas = 2;
+    spec.cluster.replicaEngines = {spec.engine, spec.engine};
+    spec.cluster.replicaEngines[1].tpDegree = 6;
+    EXPECT_TRUE(hasErrorContaining(spec,
+                                   "cluster.replicaEngines[1].tpDegree"));
+}
+
 TEST(SpecValidation, RejectsNonPositiveChunkSize)
 {
     auto spec = core::presets::sloraChunked();

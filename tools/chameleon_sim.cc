@@ -44,7 +44,9 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "chameleon/spec_json.h"
@@ -55,6 +57,7 @@
 #include "model/llm.h"
 #include "routing/router.h"
 #include "serving/slo.h"
+#include "simkit/enum_table.h"
 #include "simkit/flags.h"
 #include "simkit/log.h"
 #include "workload/trace_gen.h"
@@ -79,12 +82,39 @@ listSystems()
     std::printf("\n");
 }
 
+/** Largest value an int-typed spec field or count can take. */
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+
+/**
+ * Reject bad user input at the boundary: print `message` (which names
+ * the flag) and exit 2, the code for every usage error. CHM_CHECK is
+ * for internal invariants only and must not see user input.
+ */
+void
+require(bool ok, const std::string &message)
+{
+    if (!ok) {
+        std::fprintf(stderr, "%s\n", message.c_str());
+        std::exit(2);
+    }
+}
+
+/** Parse an enum-valued flag through its name table; exit 2 if unknown. */
+template <typename Enum>
+void
+parseEnumFlag(const char *flag, const std::string &value, Enum *out)
+{
+    require(sim::enumByName(value, out),
+            "unknown --" + std::string(flag) + " '" + value +
+                "'; known: " + sim::enumNames<Enum>());
+}
+
 void
 writeRecordsCsv(const std::string &path,
                 const std::vector<serving::RequestRecord> &records)
 {
     std::ofstream out(path);
-    CHM_CHECK(out.good(), "cannot open " << path);
+    require(out.good(), "cannot open --records-csv file " + path);
     out << "id,arrival_s,input,output,adapter,rank,ttft_s,e2e_s,"
            "queue_delay_s,adapter_stall_ms,wrs,queue,squashes,preempts\n";
     for (const auto &r : records) {
@@ -166,15 +196,16 @@ main(int argc, char **argv)
         "(defines the replica count; per-replica GPUs override --gpu)");
     auto *router = flags.addString(
         "router", "jsq",
-        "cluster dispatch policy: "
-        "rr|jsq|p2c|affinity|affinity-cache|affinity-dir");
+        std::string("cluster dispatch policy: ") +
+            routing::routerPolicyNames());
     auto *migration = flags.addString(
         "migration", "off",
-        "cache-fabric peer migration triggers: "
-        "off|scale-up|drain|remap|all");
+        std::string("cache-fabric peer migration triggers: ") +
+            fabric::migrationPolicyNames());
     auto *topology = flags.addString(
         "topology", "pcie",
-        "peer-link preset migrations travel over: pcie|nvlink");
+        std::string("peer-link preset migrations travel over: ") +
+            fabric::topologyNames());
     auto *fabric_top_k = flags.addInt(
         "fabric-top-k", 4,
         "hot adapters considered per migration trigger");
@@ -194,15 +225,18 @@ main(int argc, char **argv)
         "time from the cost model; 0 = instant scale-ups)");
     auto *up_policy = flags.addString(
         "autoscale-up-policy", "default",
-        "engine config a scale-up instantiates: default|cheapest|fastest");
+        std::string("engine config a scale-up instantiates: ") +
+            routing::scaleUpPolicyNames());
     auto *measured_alpha = flags.addDouble(
         "autoscale-alpha", 0.0,
         "EWMA weight of measured per-replica service rates blended "
         "into the routing weights (0 = static nominal weights)");
     auto *demand_source = flags.addString(
         "autoscale-demand-source", "nominal",
-        "rate estimate behind the autoscaler capacity signals: "
-        "nominal|measured (measured needs --autoscale-alpha > 0)");
+        std::string("rate estimate behind the autoscaler capacity "
+                    "signals: ") +
+            routing::demandSourceNames() +
+            " (measured needs --autoscale-alpha > 0)");
     auto *boot_horizon = flags.addBool(
         "autoscale-boot-horizon", false,
         "stretch the forecast horizon to at least the next replica's "
@@ -242,13 +276,7 @@ main(int argc, char **argv)
         listSystems();
         // Listing alone is a complete command; only continue into a
         // simulation when one was explicitly requested via --system.
-        bool systemRequested = false;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--system" || arg.rfind("--system=", 0) == 0)
-                systemRequested = true;
-        }
-        if (!systemRequested)
+        if (!flagGiven(argc, argv, "system"))
             return 0;
         std::printf("\n");
     }
@@ -266,12 +294,11 @@ main(int argc, char **argv)
               "autoscale-demand-source", "autoscale-boot-horizon",
               "slo-admission", "tenants",
               "migration", "topology", "fabric-top-k"}) {
-            CHM_CHECK(!flagGiven(argc, argv, conflicting),
-                      "--" << conflicting
-                           << " conflicts with --config; edit the "
-                              "config file instead (workload flags "
-                              "--rps/--duration/--seed/--adapters/"
-                              "--workload still apply)");
+            require(!flagGiven(argc, argv, conflicting),
+                    std::string("--") + conflicting +
+                        " conflicts with --config; edit the config file "
+                        "instead (workload flags --rps/--duration/--seed/"
+                        "--adapters/--workload still apply)");
         }
         std::string config_error;
         auto parsed = core::specFromJson(
@@ -291,25 +318,35 @@ main(int argc, char **argv)
         }
         spec = *found;
 
-        spec.engine.model = model::modelByName(*model_name);
-        if (*gpu_name == "a40") {
-            spec.engine.gpu = model::a40();
-            CHM_CHECK(*mem_gib == 0,
-                      "--mem-gib applies to --gpu a100 only");
-        } else if (*gpu_name == "a100") {
-            spec.engine.gpu = model::a100(
-                *mem_gib == 0 ? 80 : static_cast<int>(*mem_gib));
-        } else {
-            CHM_FATAL("unknown --gpu: " << *gpu_name);
-        }
+        require(model::tryModelByName(*model_name, &spec.engine.model),
+                "unknown --model '" + *model_name +
+                    "'; known: " + model::modelPresetNames());
+        require(*gpu_name == "a40" || *gpu_name == "a100",
+                "unknown --gpu '" + *gpu_name + "'; known: a40, a100");
+        require(*gpu_name == "a100" || *mem_gib == 0,
+                "--mem-gib applies to --gpu a100 only");
+        require(*mem_gib == 0 || *mem_gib == 24 || *mem_gib == 48 ||
+                    *mem_gib == 80,
+                "--mem-gib must be 24, 48 or 80 (0 = 80)");
+        spec.engine.gpu = *gpu_name == "a40"
+                              ? model::a40()
+                              : model::a100(*mem_gib == 0
+                                                ? 80
+                                                : static_cast<int>(*mem_gib));
+        // The cost model splits work across a power-of-two GPU group.
+        require(*tp >= 1 && (*tp & (*tp - 1)) == 0,
+                "--tp must be a power of two >= 1 (got " +
+                    std::to_string(*tp) + ")");
         spec.engine.tpDegree = static_cast<int>(*tp);
         spec.predictor.accuracy = *acc;
         spec.predictor.seed = static_cast<std::uint64_t>(*seed);
 
-        CHM_CHECK(*tenants >= 1, "--tenants must be >= 1");
+        require(*tenants >= 1 && *tenants <= kMaxInt,
+                "--tenants must be within [1, 2^31)");
         spec.tenancy.tenants = static_cast<int>(*tenants);
 
-        CHM_CHECK(*replicas >= 1, "--replicas must be >= 1");
+        require(*replicas >= 1 && *replicas <= kMaxInt,
+                "--replicas must be within [1, 2^31)");
         spec.cluster.replicas = static_cast<int>(*replicas);
         if (!fleet->empty()) {
             // A fleet defines the replica count; a --replicas beside it
@@ -333,12 +370,7 @@ main(int argc, char **argv)
             spec.cluster.replicaEngines =
                 serving::fleetEngines(spec.engine, gpus);
         }
-        if (!routing::routerPolicyByName(*router, &spec.cluster.router)) {
-            std::fprintf(stderr,
-                         "unknown --router '%s'; known: %s\n",
-                         router->c_str(), routing::routerPolicyNames());
-            return 2;
-        }
+        parseEnumFlag("router", *router, &spec.cluster.router);
         spec.cluster.routerConfig.seed = static_cast<std::uint64_t>(*seed);
         spec.cluster.autoscale = *autoscale;
         spec.cluster.autoscaler.minReplicas =
@@ -347,75 +379,67 @@ main(int argc, char **argv)
             static_cast<std::size_t>(*max_replicas);
         spec.cluster.autoscaler.replicaServiceRps = *replica_rps;
         spec.cluster.autoscaler.bootMs = *boot_ms;
-        if (!routing::scaleUpPolicyByName(
-                *up_policy, &spec.cluster.autoscaler.scaleUpPolicy)) {
-            std::fprintf(stderr,
-                         "unknown --autoscale-up-policy '%s'; known: %s\n",
-                         up_policy->c_str(),
-                         routing::scaleUpPolicyNames());
-            return 2;
-        }
+        parseEnumFlag("autoscale-up-policy", *up_policy,
+                      &spec.cluster.autoscaler.scaleUpPolicy);
         spec.cluster.autoscaler.measuredRateAlpha = *measured_alpha;
-        if (!routing::demandSourceByName(
-                *demand_source, &spec.cluster.autoscaler.demandSource)) {
-            std::fprintf(stderr,
-                         "unknown --autoscale-demand-source '%s'; "
-                         "known: %s\n",
-                         demand_source->c_str(),
-                         routing::demandSourceNames());
-            return 2;
-        }
+        parseEnumFlag("autoscale-demand-source", *demand_source,
+                      &spec.cluster.autoscaler.demandSource);
         spec.cluster.autoscaler.bootAwareHorizon = *boot_horizon;
         spec.cluster.routerConfig.sloAdmission = *slo_admission;
-        if (!fabric::migrationPolicyByName(*migration,
-                                           &spec.fabric.migration)) {
-            std::fprintf(stderr,
-                         "unknown --migration '%s'; known: %s\n",
-                         migration->c_str(),
-                         fabric::migrationPolicyNames());
-            return 2;
-        }
-        if (!fabric::topologyByName(*topology, &spec.fabric.topology)) {
-            std::fprintf(stderr,
-                         "unknown --topology '%s'; known: %s\n",
-                         topology->c_str(), fabric::topologyNames());
-            return 2;
-        }
-        CHM_CHECK(*fabric_top_k >= 1, "--fabric-top-k must be >= 1");
+        parseEnumFlag("migration", *migration, &spec.fabric.migration);
+        parseEnumFlag("topology", *topology, &spec.fabric.topology);
+        require(*fabric_top_k >= 1, "--fabric-top-k must be >= 1");
         spec.fabric.topK = static_cast<std::size_t>(*fabric_top_k);
         // Cluster-only flags silently doing nothing would misread as a
         // valid run of the requested policy.
-        CHM_CHECK(spec.cluster.replicas > 1 || spec.cluster.autoscale ||
-                      *router == "jsq",
-                  "--router requires --replicas > 1 or --autoscale");
-        CHM_CHECK(spec.cluster.autoscale ||
-                      (*min_replicas == 1 && *max_replicas == 8 &&
-                       *replica_rps == 8.0 && *boot_ms == 0.0 &&
-                       *up_policy == "default" && *measured_alpha == 0.0 &&
-                       *demand_source == "nominal" && !*boot_horizon),
-                  "--min-replicas/--max-replicas/--replica-rps/"
-                  "--autoscale-boot-ms/--autoscale-up-policy/"
-                  "--autoscale-alpha/--autoscale-demand-source/"
-                  "--autoscale-boot-horizon require --autoscale");
-        CHM_CHECK(spec.fabric.migration == fabric::MigrationPolicy::Off ||
-                      spec.cluster.replicas > 1 || spec.cluster.autoscale,
-                  "--migration needs peers: --replicas > 1 or "
-                  "--autoscale");
-        CHM_CHECK(spec.fabric.enabled() ||
-                      (*topology == "pcie" && *fabric_top_k == 4),
-                  "--topology/--fabric-top-k require --migration");
+        require(spec.cluster.replicas > 1 || spec.cluster.autoscale ||
+                    *router == "jsq",
+                "--router requires --replicas > 1 or --autoscale");
+        require(spec.cluster.autoscale ||
+                    (*min_replicas == 1 && *max_replicas == 8 &&
+                     *replica_rps == 8.0 && *boot_ms == 0.0 &&
+                     *up_policy == "default" && *measured_alpha == 0.0 &&
+                     *demand_source == "nominal" && !*boot_horizon),
+                "--min-replicas/--max-replicas/--replica-rps/"
+                "--autoscale-boot-ms/--autoscale-up-policy/"
+                "--autoscale-alpha/--autoscale-demand-source/"
+                "--autoscale-boot-horizon require --autoscale");
+        require(spec.fabric.migration == fabric::MigrationPolicy::Off ||
+                    spec.cluster.replicas > 1 || spec.cluster.autoscale,
+                "--migration needs peers: --replicas > 1 or --autoscale");
+        require(spec.fabric.enabled() ||
+                    (*topology == "pcie" && *fabric_top_k == 4),
+                "--topology/--fabric-top-k require --migration");
+        // Whatever the flags composed must also be a valid spec; its
+        // messages name the spec field each flag set.
+        const auto problems = spec.validate();
+        std::string joined = "invalid system from the flags:";
+        for (const auto &problem : problems)
+            joined += "\n  - " + problem;
+        require(problems.empty(), joined);
     }
     const bool clusterRun =
         spec.cluster.replicas > 1 || spec.cluster.autoscale;
 
-    CHM_CHECK(*tenant_storm >= 1.0,
-              "--tenant-storm must be >= 1 (1 disables the storm)");
-    CHM_CHECK(*tenant_storm <= 1.0 || spec.tenancy.tenants > 1,
-              "--tenant-storm needs more than one tenant (--tenants, or "
-              "the config file's tenancy.tenants); a storm is one tenant "
-              "bursting against the others");
-    CHM_CHECK(*slo_multiplier >= 0.0,
-              "--slo-multiplier must be >= 0 (0 disables SLO reporting)");
+    require(*tenant_storm >= 1.0,
+            "--tenant-storm must be >= 1 (1 disables the storm)");
+    require(*tenant_storm <= 1.0 || spec.tenancy.tenants > 1,
+            "--tenant-storm needs more than one tenant (--tenants, or "
+            "the config file's tenancy.tenants); a storm is one tenant "
+            "bursting against the others");
+    require(*slo_multiplier >= 0.0,
+            "--slo-multiplier must be >= 0 (0 disables SLO reporting)");
+    require(*adapters >= 0 && *adapters <= kMaxInt,
+            "--adapters must be within [0, 2^31) (0 = base only)");
+    if (trace_in->empty()) {
+        // Only a generated trace reads these.
+        require(*rps > 0.0, "--rps must be > 0");
+        require(*duration > 0.0, "--duration must be > 0");
+        require(*workload_name == "splitwise" ||
+                    *workload_name == "wildchat" || *workload_name == "lmsys",
+                "unknown --workload '" + *workload_name +
+                    "'; known: splitwise, wildchat, lmsys");
+    }
 
     if (*dump_config) {
         // The resolved spec alone reproduces this system: pipe it back
@@ -432,17 +456,15 @@ main(int argc, char **argv)
 
     workload::Trace trace;
     if (!trace_in->empty()) {
+        require(std::ifstream(*trace_in).good(),
+                "cannot open --trace file " + *trace_in);
         trace = workload::Trace::loadCsv(*trace_in);
     } else {
-        workload::TraceGenConfig wl;
-        if (*workload_name == "splitwise")
-            wl = workload::splitwiseLike();
-        else if (*workload_name == "wildchat")
-            wl = workload::wildchatLike();
-        else if (*workload_name == "lmsys")
-            wl = workload::lmsysLike();
-        else
-            CHM_FATAL("unknown --workload: " << *workload_name);
+        workload::TraceGenConfig wl = *workload_name == "wildchat"
+                                          ? workload::wildchatLike()
+                                      : *workload_name == "lmsys"
+                                          ? workload::lmsysLike()
+                                          : workload::splitwiseLike();
         wl.rps = *rps;
         wl.durationSeconds = *duration;
         wl.numAdapters = static_cast<int>(*adapters);
@@ -459,6 +481,8 @@ main(int argc, char **argv)
         workload::TraceGenerator gen(wl, pool.get());
         trace = gen.generate();
     }
+    require(!trace.empty(), "the trace has no requests; raise --duration "
+                            "or --rps (or check the --trace file)");
     if (!save_trace->empty())
         trace.saveCsv(*save_trace);
 
@@ -664,7 +688,8 @@ main(int argc, char **argv)
     }
     if (!metrics_out->empty()) {
         std::ofstream out(*metrics_out);
-        CHM_CHECK(out.good(), "cannot open " << *metrics_out);
+        require(out.good(),
+                "cannot open --metrics-out file " + *metrics_out);
         out << report.metrics.dump() << '\n';
         std::printf("metrics snapshot written to %s\n",
                     metrics_out->c_str());
