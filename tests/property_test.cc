@@ -60,9 +60,12 @@ sharedPool()
 
 } // namespace
 
-/** (system, seed) grid. */
+/** (system, seed) grid. The system name is a std::string, not a
+ *  const char *: gtest prints a char pointer inside a tuple as its
+ *  address, which would put a per-process random value into the
+ *  registered ctest test name. */
 class SystemInvariants
-    : public ::testing::TestWithParam<std::tuple<const char *,
+    : public ::testing::TestWithParam<std::tuple<std::string,
                                                  std::uint64_t>>
 {
 };
