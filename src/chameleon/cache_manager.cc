@@ -16,7 +16,7 @@ CacheManager::CacheManager(const model::AdapterPool &pool,
                            const model::CostModel &cost, CacheConfig config)
     : pool_(pool), mem_(mem), link_(link), cost_(cost),
       config_(std::move(config)),
-      policy_(makeEvictionPolicy(config_.evictionPolicy)),
+      policy_(makeEvictionPolicy(config_.eviction)),
       loadPredictor_(120.0)
 {
     if (config_.minFreeBytes < 0)

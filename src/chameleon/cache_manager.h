@@ -37,8 +37,8 @@ namespace chameleon::core {
 /** Cache manager configuration. */
 struct CacheConfig
 {
-    /** Eviction policy name: chameleon / fairshare / lru / gdsf. */
-    std::string evictionPolicy = "chameleon";
+    /** Eviction policy (the paper's compound score by default). */
+    EvictionKind eviction = EvictionKind::Paper;
     /** Prefetch adapters of waiting (queued) requests. */
     bool queuedPrefetch = true;
     /** Histogram-based predictive prefetch (§4.2.3; off by default). */

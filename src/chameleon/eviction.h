@@ -10,7 +10,8 @@
  * adapters go before large popular ones (misses on large adapters are
  * costlier to repair). FairShare uses equal weights; LRU uses recency
  * only; GDSF is the web-caching baseline of Cherkasova [5] discussed in
- * §5.3.3.
+ * §5.3.3. EvictionKind names them; its name table (system_spec.h) is
+ * the only place a policy has a string name.
  */
 
 #ifndef CHAMELEON_CHAMELEON_EVICTION_H
@@ -18,13 +19,20 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "model/adapter.h"
 #include "simkit/time.h"
 
 namespace chameleon::core {
+
+/** Eviction score of the Chameleon cache (§4.2.2, Fig. 17). */
+enum class EvictionKind {
+    Paper,     ///< The tuned compound score (the paper's policy).
+    Lru,       ///< Least-recently-used.
+    FairShare, ///< Equal-weight (rank-normalised) score.
+    Gdsf,      ///< Greedy-Dual-Size-Frequency web-caching score.
+};
 
 /** Snapshot of one evictable (idle) cached adapter. */
 struct EvictionCandidate
@@ -112,34 +120,8 @@ class GdsfEviction : public EvictionPolicy
     double aging_ = 0.0;
 };
 
-/** Least-frequently-used (frequency only; recency/size ignored). */
-class LfuEviction : public EvictionPolicy
-{
-  public:
-    const char *name() const override { return "lfu"; }
-    std::size_t pickVictim(const std::vector<EvictionCandidate> &candidates,
-                           sim::SimTime now) override;
-};
-
-/** Seeded random eviction: the sanity floor any policy should beat. */
-class RandomEviction : public EvictionPolicy
-{
-  public:
-    explicit RandomEviction(std::uint64_t seed = 1);
-
-    const char *name() const override { return "random"; }
-    std::size_t pickVictim(const std::vector<EvictionCandidate> &candidates,
-                           sim::SimTime now) override;
-
-  private:
-    std::uint64_t state_;
-};
-
-/**
- * Factory by name: "chameleon", "fairshare", "lru", "gdsf", "lfu",
- * "random".
- */
-std::unique_ptr<EvictionPolicy> makeEvictionPolicy(const std::string &name);
+/** The policy object for an eviction kind. */
+std::unique_ptr<EvictionPolicy> makeEvictionPolicy(EvictionKind kind);
 
 } // namespace chameleon::core
 

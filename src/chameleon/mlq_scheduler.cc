@@ -101,13 +101,11 @@ MlqScheduler::waitingCount() const
     return n;
 }
 
-std::vector<LiveRequest *>
-MlqScheduler::waitingSnapshot() const
+void
+MlqScheduler::waitingSnapshot(std::vector<LiveRequest *> &out) const
 {
-    std::vector<LiveRequest *> out;
     for (const auto &lane : lanes_)
         out.insert(out.end(), lane.queue.begin(), lane.queue.end());
-    return out;
 }
 
 bool
@@ -186,12 +184,12 @@ MlqScheduler::putBatch(Lane &lane, std::size_t laneIdx,
     return consumed;
 }
 
-std::vector<LiveRequest *>
-MlqScheduler::selectAdmissions(AdmissionContext &ctx)
+void
+MlqScheduler::selectAdmissions(AdmissionContext &ctx,
+                               std::vector<LiveRequest *> &admitted)
 {
     checkSquashes(ctx);
 
-    std::vector<LiveRequest *> admitted;
     std::int64_t leftover = 0;
 
     // Phase 1: every queue admits within its own available quota,
@@ -213,8 +211,6 @@ MlqScheduler::selectAdmissions(AdmissionContext &ctx)
         // tokens flow back to their home lanes when the requests finish.
         leftover -= putBatch(lane, i, leftover, ctx, admitted);
     }
-
-    return admitted;
 }
 
 void
@@ -379,7 +375,8 @@ MlqScheduler::reconfigure(sim::SimTime now)
             quotas[i], static_cast<std::int64_t>(lane_max_tokens[i]) + 1);
     }
 
-    std::vector<LiveRequest *> waiting = waitingSnapshot();
+    std::vector<LiveRequest *> waiting;
+    waitingSnapshot(waiting);
     lanes_.assign(n_lanes, Lane{});
     for (std::size_t i = 0; i < lanes_.size(); ++i)
         lanes_[i].quota = quotas[i];

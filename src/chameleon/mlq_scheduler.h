@@ -74,11 +74,13 @@ class MlqScheduler : public serving::Scheduler
     void requeueFront(serving::LiveRequest *r) override;
     bool hasWaiting() const override;
     std::size_t waitingCount() const override;
-    std::vector<serving::LiveRequest *> selectAdmissions(
-        serving::AdmissionContext &ctx) override;
+    void selectAdmissions(
+        serving::AdmissionContext &ctx,
+        std::vector<serving::LiveRequest *> &admitted) override;
     void onRequestFinished(serving::LiveRequest *r) override;
     void onIterationEnd(sim::SimTime now) override;
-    std::vector<serving::LiveRequest *> waitingSnapshot() const override;
+    void waitingSnapshot(
+        std::vector<serving::LiveRequest *> &out) const override;
 
     /** Current queue count. */
     int queueCount() const { return static_cast<int>(lanes_.size()); }

@@ -1,10 +1,11 @@
 #include "chameleon/system.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
-#include <sstream>
-
 #include <map>
+#include <sstream>
+#include <type_traits>
 
 #include "fabric/cache_fabric.h"
 #include "predict/history_predictor.h"
@@ -25,6 +26,9 @@ using serving::EngineConfig;
 using serving::ServingEngine;
 
 namespace {
+
+std::uint64_t eventStreamHash(const serving::DataParallelCluster &cluster,
+                              const RunReport &report);
 
 /**
  * Placeholder pool for base-only workloads: no request references an
@@ -145,7 +149,7 @@ buildEngine(const SystemSpec &spec, std::size_t replica,
             engine->pcieLink(), prefetch);
     } else {
         CacheConfig ccfg;
-        ccfg.evictionPolicy = evictionPolicyName(spec.adapters.eviction);
+        ccfg.eviction = spec.adapters.eviction;
         ccfg.predictivePrefetch = spec.adapters.predictivePrefetch;
         if (spec.adapters.predictivePrefetch)
             ccfg.predictiveTopK = spec.adapters.prefetchTopK;
@@ -372,19 +376,121 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
     obs::MetricsRegistry registry;
     fillRunMetrics(registry, *cluster_, report);
     report.metrics = registry.snapshot();
-    report.eventHash = fnv1a64(canonicalEventStream(*cluster_, report));
+    report.eventHash = eventStreamHash(*cluster_, report);
     return report;
 }
+
+namespace {
+
+/** Streaming FNV-1a 64: the sink behind RunReport::eventHash. */
+struct Fnv1a64Sink
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+
+    void
+    append(const char *data, std::size_t size)
+    {
+        std::uint64_t h = hash;
+        for (std::size_t i = 0; i < size; ++i) {
+            h ^= static_cast<unsigned char>(data[i]);
+            h *= 0x100000001b3ull;
+        }
+        hash = h;
+    }
+};
+
+/** Collects the bytes: the sink behind canonicalEventStream. */
+struct StringSink
+{
+    std::string text;
+
+    void append(const char *data, std::size_t size)
+    {
+        text.append(data, size);
+    }
+};
+
+/**
+ * Buffered text writer over a sink. Integers format exactly as
+ * std::ostream's operator<< does (std::to_chars: no locale, no
+ * padding), so one formatter feeds both the hash and the text.
+ */
+template <typename Sink>
+class StreamWriter
+{
+  public:
+    explicit StreamWriter(Sink &sink) : sink_(sink) {}
+    ~StreamWriter() { flush(); }
+
+    StreamWriter &
+    operator<<(const char *text)
+    {
+        const std::size_t n = std::strlen(text);
+        reserve(n);
+        if (n > kBufBytes) {
+            sink_.append(text, n);
+            return *this;
+        }
+        std::memcpy(buf_ + len_, text, n);
+        len_ += n;
+        return *this;
+    }
+
+    StreamWriter &
+    operator<<(char c)
+    {
+        reserve(1);
+        buf_[len_++] = c;
+        return *this;
+    }
+
+    template <typename Int,
+              typename = std::enable_if_t<std::is_integral_v<Int>>>
+    StreamWriter &
+    operator<<(Int value)
+    {
+        static_assert(!std::is_same_v<Int, bool> &&
+                          !std::is_same_v<Int, signed char> &&
+                          !std::is_same_v<Int, unsigned char>,
+                      "operator<< prints these as characters");
+        reserve(kMaxIntChars);
+        const auto res = std::to_chars(buf_ + len_, buf_ + kBufBytes, value);
+        len_ = static_cast<std::size_t>(res.ptr - buf_);
+        return *this;
+    }
+
+    void
+    flush()
+    {
+        sink_.append(buf_, len_);
+        len_ = 0;
+    }
+
+  private:
+    /** Longest integer: 20 digits of a uint64, or a sign + 19 digits. */
+    static constexpr std::size_t kMaxIntChars = 20;
+    static constexpr std::size_t kBufBytes = 4096;
+
+    void
+    reserve(std::size_t n)
+    {
+        if (len_ + n > kBufBytes)
+            flush();
+    }
+
+    Sink &sink_;
+    char buf_[kBufBytes];
+    std::size_t len_ = 0;
+};
+
+} // namespace
 
 std::uint64_t
 fnv1a64(const std::string &text)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
+    Fnv1a64Sink sink;
+    sink.append(text.data(), text.size());
+    return sink.hash;
 }
 
 namespace {
@@ -399,13 +505,13 @@ doubleBits(double value)
     return out;
 }
 
-} // namespace
-
-std::string
-canonicalEventStream(const serving::DataParallelCluster &cluster,
-                     const RunReport &report)
+/** The one definition of the canonical event stream's bytes. */
+template <typename Sink>
+void
+writeCanonicalEventStream(const serving::DataParallelCluster &cluster,
+                          const RunReport &report, Sink &sink)
 {
-    std::ostringstream os;
+    StreamWriter<Sink> os(sink);
     os << "finished=" << report.stats.finished
        << " scale_ups=" << report.scaleUps
        << " scale_downs=" << report.scaleDowns
@@ -422,7 +528,27 @@ canonicalEventStream(const serving::DataParallelCluster &cluster,
                << r.squashCount << ',' << r.preemptCount << '\n';
         }
     }
-    return os.str();
+}
+
+/** fnv1a64(canonicalEventStream(...)) without building the string. */
+std::uint64_t
+eventStreamHash(const serving::DataParallelCluster &cluster,
+                const RunReport &report)
+{
+    Fnv1a64Sink sink;
+    writeCanonicalEventStream(cluster, report, sink);
+    return sink.hash;
+}
+
+} // namespace
+
+std::string
+canonicalEventStream(const serving::DataParallelCluster &cluster,
+                     const RunReport &report)
+{
+    StringSink sink;
+    writeCanonicalEventStream(cluster, report, sink);
+    return std::move(sink.text);
 }
 
 namespace {

@@ -270,7 +270,8 @@ std::uint64_t fnv1a64(const std::string &text);
  * here — a single moved dispatch or extra scale event changes the
  * text. This is the exact format the golden-trace pins hash (the suite
  * calls this function), so RunReport::eventHash values are comparable
- * across tests, sweeps, and baselines.
+ * across tests, sweeps, and baselines. Runner::run hashes the same
+ * bytes while writing them, without building this string.
  */
 std::string canonicalEventStream(
     const serving::DataParallelCluster &cluster,

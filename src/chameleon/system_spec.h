@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "chameleon/eviction.h"
 #include "chameleon/wrs.h"
 #include "fabric/cache_fabric.h"
 #include "routing/autoscaler.h"
@@ -44,14 +45,6 @@ enum class AdapterPolicy {
     OnDemand,       ///< Fetch on demand, discard on idle, no prefetch.
     SLora,          ///< On-demand + async prefetch for queued requests.
     ChameleonCache, ///< Transparent idle-memory adapter cache (§4.2).
-};
-
-/** Eviction score of the Chameleon cache (§4.2.2, Fig. 17). */
-enum class EvictionKind {
-    Paper,     ///< The tuned compound score (the paper's policy).
-    Lru,       ///< Least-recently-used.
-    FairShare, ///< Equal-weight (rank-normalised) score.
-    Gdsf,      ///< Greedy-Dual-Size-Frequency web-caching score.
 };
 
 /** KV reservation accounting at admission time. */

@@ -1,5 +1,6 @@
 #include "model/cost_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "simkit/check.h"
@@ -88,7 +89,13 @@ CostModel::prefillStepTime(
 SimTime
 CostModel::decodeIterTime(const std::vector<DecodeSlot> &batch) const
 {
-    if (batch.empty())
+    return decodeIterTime(batch.data(), batch.size());
+}
+
+SimTime
+CostModel::decodeIterTime(const DecodeSlot *slots, std::size_t count) const
+{
+    if (count == 0)
         return 0;
     const double bw = effectiveMemBandwidth();
     // Weight shards are read once per iteration, in parallel across the
@@ -98,7 +105,8 @@ CostModel::decodeIterTime(const std::vector<DecodeSlot> &batch) const
     secs += params_.decodeFixedMs * 1e-3;
     bool any_adapter = false;
     std::int64_t kv_bytes = 0;
-    for (const auto &slot : batch) {
+    for (std::size_t i = 0; i < count; ++i) {
+        const DecodeSlot &slot = slots[i];
         kv_bytes += slot.kvTokens * model_.kvBytesPerToken();
         secs += params_.decodeReqUs * 1e-6;
         if (slot.rank > 0) {
@@ -146,10 +154,48 @@ CostModel::isolatedE2e(std::int64_t inputTokens, std::int64_t outputTokens,
     // remaining outputTokens-1 come from single-request decode iterations
     // with a growing KV footprint.
     for (std::int64_t i = 1; i < outputTokens; ++i) {
-        DecodeSlot slot{inputTokens + i, rank};
-        t += decodeIterTime({slot});
+        const DecodeSlot slot{inputTokens + i, rank};
+        t += decodeIterTime(&slot, 1);
     }
     return t;
+}
+
+SimTime
+IsolatedLatency::e2e(std::int64_t inputTokens, std::int64_t outputTokens,
+                     int rank, std::int64_t adapterBytes, bool includeLoad)
+{
+    SimTime t = cost_->isolatedTtft(inputTokens, rank, adapterBytes,
+                                    includeLoad);
+    if (outputTokens <= 1)
+        return t;
+    // Decode steps at KV lengths in+1 .. in+out-1.
+    const std::vector<SimTime> &p = prefix(rank, inputTokens + outputTokens);
+    return t + p[static_cast<std::size_t>(inputTokens + outputTokens)] -
+           p[static_cast<std::size_t>(inputTokens + 1)];
+}
+
+const std::vector<SimTime> &
+IsolatedLatency::prefix(int rank, std::int64_t last)
+{
+    CHM_CHECK(last >= 0, "negative context length");
+    RankTable *table = nullptr;
+    for (RankTable &t : tables_) {
+        if (t.rank == rank)
+            table = &t;
+    }
+    if (table == nullptr)
+        table = &tables_.emplace_back(RankTable{rank, {0}});
+    std::vector<SimTime> &p = table->prefix;
+    const auto size = static_cast<std::size_t>(last) + 1;
+    if (p.size() < size) {
+        p.reserve(std::max(size, 2 * p.size()));
+        DecodeSlot slot{0, rank};
+        while (p.size() < size) {
+            slot.kvTokens = static_cast<std::int64_t>(p.size()) - 1;
+            p.push_back(p.back() + cost_->decodeIterTime(&slot, 1));
+        }
+    }
+    return p;
 }
 
 } // namespace chameleon::model

@@ -139,6 +139,10 @@ class CostModel
     /** One decode iteration over the given batch composition. */
     sim::SimTime decodeIterTime(const std::vector<DecodeSlot> &batch) const;
 
+    /** The same over `count` slots at `slots` (no container needed). */
+    sim::SimTime decodeIterTime(const DecodeSlot *slots,
+                                std::size_t count) const;
+
     /**
      * Host->GPU transfer time for an adapter of the given byte size,
      * including per-transfer setup and TP synchronisation. This is the
@@ -153,7 +157,10 @@ class CostModel
 
     /**
      * End-to-end latency of a lone request on an idle engine; the
-     * slowdown-denominator of §3.3.
+     * slowdown-denominator of §3.3. The reference definition: one
+     * single-slot decode step per output token after the first, so
+     * O(outputTokens) per call. IsolatedLatency gives the same value
+     * in O(1).
      */
     sim::SimTime isolatedE2e(std::int64_t inputTokens,
                              std::int64_t outputTokens, int rank,
@@ -167,6 +174,47 @@ class CostModel
     GpuSpec gpu_;
     int tp_;
     CostParams params_;
+};
+
+/**
+ * Exact isolated latencies in O(1) per request, for post-run
+ * accounting over whole traces (the SLO and the slowdowns).
+ *
+ * A lone request's decode step depends only on its KV length and its
+ * rank, and each step rounds to whole microseconds before it is added.
+ * So per rank, the prefix sums P[k] = step(0) + ... + step(k-1) (from
+ * CostModel::decodeIterTime itself) turn the reference loop of
+ * CostModel::isolatedE2e into
+ *     isolatedTtft + P[in + out] - P[in + 1],
+ * the same integer sum, bit for bit. Tables are built per rank on
+ * first use and grow to the longest context seen.
+ *
+ * A small mutable value: give each thread its own (the CostModel it
+ * reads is shared read-only). It keeps a pointer to `cost`, which must
+ * outlive it.
+ */
+class IsolatedLatency
+{
+  public:
+    explicit IsolatedLatency(const CostModel &cost) : cost_(&cost) {}
+
+    /** Equal to cost.isolatedE2e(...) with the same arguments. */
+    sim::SimTime e2e(std::int64_t inputTokens, std::int64_t outputTokens,
+                     int rank, std::int64_t adapterBytes, bool includeLoad);
+
+  private:
+    /** The rank's prefix sums, grown to hold index `last`. */
+    const std::vector<sim::SimTime> &prefix(int rank, std::int64_t last);
+
+    struct RankTable
+    {
+        int rank;
+        std::vector<sim::SimTime> prefix; // prefix[0] == 0
+    };
+
+    const CostModel *cost_;
+    /** One table per rank seen; a handful, so a linear scan. */
+    std::vector<RankTable> tables_;
 };
 
 } // namespace chameleon::model

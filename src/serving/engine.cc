@@ -294,16 +294,22 @@ ServingEngine::startIteration()
     sampleMemory();
 
     // Prefetch / pin refresh over the adapters of waiting requests.
-    std::vector<model::AdapterId> queued_adapters;
-    for (const LiveRequest *r : scheduler_->waitingSnapshot()) {
+    // Every per-iteration list below is a reused member buffer: only one
+    // iteration is ever in flight, so a steady batch allocates nothing.
+    requestScratch_.clear();
+    scheduler_->waitingSnapshot(requestScratch_);
+    queuedAdapters_.clear();
+    for (const LiveRequest *r : requestScratch_) {
         if (r->hasAdapter())
-            queued_adapters.push_back(r->req.adapter);
+            queuedAdapters_.push_back(r->req.adapter);
     }
-    adapterMgr_->onSchedulingCycle(queued_adapters, now);
+    adapterMgr_->onSchedulingCycle(queuedAdapters_, now);
 
     // Admissions.
     AdmissionContext ctx = makeContext();
-    for (LiveRequest *r : scheduler_->selectAdmissions(ctx)) {
+    requestScratch_.clear();
+    scheduler_->selectAdmissions(ctx, requestScratch_);
+    for (LiveRequest *r : requestScratch_) {
         if (r->admitTime == sim::kTimeNever)
             r->admitTime = now;
         r->phase = RequestPhase::Prefilling;
@@ -317,9 +323,9 @@ ServingEngine::startIteration()
     // flight is skipped: its own first token waits for the load (the
     // per-request critical-path cost of §3.2 / Fig. 14) while the rest
     // of the batch proceeds.
-    std::vector<LiveRequest *> slice;
-    std::vector<std::int64_t> taken;
-    std::vector<std::pair<std::int64_t, int>> prefill_work;
+    slice_.clear();
+    taken_.clear();
+    prefillWork_.clear();
     std::int64_t budget = config_.prefillChunkTokens;
     SimTime earliest_adapter = sim::kTimeNever;
     for (LiveRequest *r : prefilling_) {
@@ -335,13 +341,13 @@ ServingEngine::startIteration()
         const std::int64_t take = std::min(r->remainingPrefill(), budget);
         if (take <= 0)
             continue;
-        slice.push_back(r);
-        taken.push_back(take);
-        prefill_work.emplace_back(take, r->rank);
+        slice_.push_back(r);
+        taken_.push_back(take);
+        prefillWork_.emplace_back(take, r->rank);
         budget -= take;
     }
 
-    if (slice.empty() && running_.empty()) {
+    if (slice_.empty() && running_.empty()) {
         if (earliest_adapter != sim::kTimeNever) {
             // Idle until the blocking transfer lands.
             sim_.scheduleAt(earliest_adapter,
@@ -362,24 +368,21 @@ ServingEngine::startIteration()
     }
 
     SimTime duration = 0;
-    if (!prefill_work.empty())
-        duration += cost_.prefillStepTime(prefill_work);
+    if (!prefillWork_.empty())
+        duration += cost_.prefillStepTime(prefillWork_);
     if (!running_.empty()) {
-        std::vector<model::DecodeSlot> slots;
-        slots.reserve(running_.size());
+        slots_.clear();
         for (const LiveRequest *r : running_) {
-            slots.push_back(model::DecodeSlot{
+            slots_.push_back(model::DecodeSlot{
                 r->req.inputTokens + r->generated, r->rank});
         }
-        duration += cost_.decodeIterTime(slots);
+        duration += cost_.decodeIterTime(slots_);
     }
     CHM_CHECK(duration > 0, "iteration with work must take time");
 
     iterationInFlight_ = true;
-    sim_.scheduleAfter(duration, [this, duration, slice = std::move(slice),
-                                  taken = std::move(taken)]() mutable {
-        finishIteration(duration, std::move(slice), std::move(taken));
-    });
+    sim_.scheduleAfter(duration,
+                       [this, duration] { finishIteration(duration); });
 }
 
 bool
@@ -412,16 +415,14 @@ ServingEngine::preemptForMemory()
 }
 
 void
-ServingEngine::finishIteration(SimTime duration,
-                               std::vector<LiveRequest *> slice,
-                               std::vector<std::int64_t> taken)
+ServingEngine::finishIteration(SimTime duration)
 {
     const SimTime now = sim_.now();
     ++stats_.iterations;
     stats_.busyTime += duration;
     stats_.decodeTokens += static_cast<std::int64_t>(running_.size());
     stats_.batchSizeAccum += static_cast<std::int64_t>(running_.size());
-    for (const std::int64_t t : taken)
+    for (const std::int64_t t : taken_)
         stats_.prefillTokens += t;
     ewmaIterUs_ = (1.0 - kIterEwmaAlpha) * ewmaIterUs_ +
                   kIterEwmaAlpha * static_cast<double>(duration);
@@ -430,19 +431,19 @@ ServingEngine::finishIteration(SimTime duration,
     // requests promoted from prefill below do not decode this iteration.
     if (!running_.empty())
         stats_.tbt.add(sim::toMillis(duration));
-    std::vector<LiveRequest *> still_running;
-    still_running.reserve(running_.size());
-    std::vector<LiveRequest *> finished;
+    // Partition in place: survivors keep their order at the front, the
+    // finished go to a reused buffer, also in batch order.
+    requestScratch_.clear();
+    std::size_t kept = 0;
     for (LiveRequest *r : running_) {
         ++r->generated;
-        if (r->generated >= r->req.outputTokens) {
-            finished.push_back(r);
-        } else {
-            still_running.push_back(r);
-        }
+        if (r->generated >= r->req.outputTokens)
+            requestScratch_.push_back(r);
+        else
+            running_[kept++] = r;
     }
-    running_ = std::move(still_running);
-    for (LiveRequest *r : finished)
+    running_.resize(kept);
+    for (LiveRequest *r : requestScratch_)
         finishRequest(r);
 
     // Grow KV for survivors; preempt under unrecoverable pressure. Each
@@ -461,11 +462,11 @@ ServingEngine::finishIteration(SimTime duration,
     }
 
     // Prefill progress.
-    for (std::size_t i = 0; i < slice.size(); ++i) {
-        LiveRequest *r = slice[i];
+    for (std::size_t i = 0; i < slice_.size(); ++i) {
+        LiveRequest *r = slice_[i];
         if (r->phase != RequestPhase::Prefilling)
             continue; // squashed mid-iteration by preemption
-        r->prefilled += taken[i];
+        r->prefilled += taken_[i];
         CHM_CHECK(r->prefilled <= r->req.inputTokens, "prefill overshoot");
         if (!r->prefillDone())
             continue;

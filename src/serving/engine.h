@@ -253,9 +253,7 @@ class ServingEngine
     void onArrival(LiveRequest *r);
     void maybeStartIteration();
     void startIteration();
-    void finishIteration(sim::SimTime duration,
-                         std::vector<LiveRequest *> prefillSlice,
-                         std::vector<std::int64_t> prefillTaken);
+    void finishIteration(sim::SimTime duration);
     ReserveResult tryReserve(LiveRequest *r);
     void finishRequest(LiveRequest *r);
     void emitRequestTrace(const LiveRequest *r);
@@ -286,6 +284,18 @@ class ServingEngine
     std::vector<LiveRequest *> prefilling_;
     std::vector<LiveRequest *> running_;
     bool iterationInFlight_ = false;
+    // Per-iteration buffers, reused (cleared, capacity kept) because
+    // only one iteration is ever in flight. The in-flight iteration's
+    // prefill slice and per-request token counts: startIteration fills
+    // them, finishIteration consumes them.
+    std::vector<LiveRequest *> slice_;
+    std::vector<std::int64_t> taken_;
+    std::vector<std::pair<std::int64_t, int>> prefillWork_;
+    std::vector<model::DecodeSlot> slots_;
+    std::vector<model::AdapterId> queuedAdapters_;
+    /** Waiting snapshot, then admissions (startIteration); finished
+     *  requests (finishIteration). Never kept past either call. */
+    std::vector<LiveRequest *> requestScratch_;
     double ewmaIterUs_ = 0.0;
     sim::SimTime lastMemSample_ = sim::kTimeNever;
 

@@ -2,10 +2,10 @@
 
 namespace chameleon::serving {
 
-std::vector<LiveRequest *>
-FifoScheduler::selectAdmissions(AdmissionContext &ctx)
+void
+FifoScheduler::selectAdmissions(AdmissionContext &ctx,
+                        std::vector<LiveRequest *> &admitted)
 {
-    std::vector<LiveRequest *> admitted;
     while (!queue_.empty() && ctx.admissionSlots > 0 &&
            ctx.prefillTokenBudget > 0) {
         LiveRequest *head = queue_.front();
@@ -17,13 +17,12 @@ FifoScheduler::selectAdmissions(AdmissionContext &ctx)
         ctx.prefillTokenBudget -= head->req.inputTokens;
         --ctx.admissionSlots;
     }
-    return admitted;
 }
 
-std::vector<LiveRequest *>
-FifoScheduler::waitingSnapshot() const
+void
+FifoScheduler::waitingSnapshot(std::vector<LiveRequest *> &out) const
 {
-    return {queue_.begin(), queue_.end()};
+    out.insert(out.end(), queue_.begin(), queue_.end());
 }
 
 } // namespace chameleon::serving

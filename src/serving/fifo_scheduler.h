@@ -27,10 +27,10 @@ class FifoScheduler : public Scheduler
     bool hasWaiting() const override { return !queue_.empty(); }
     std::size_t waitingCount() const override { return queue_.size(); }
 
-    std::vector<LiveRequest *> selectAdmissions(
-        AdmissionContext &ctx) override;
+    void selectAdmissions(AdmissionContext &ctx,
+                          std::vector<LiveRequest *> &admitted) override;
 
-    std::vector<LiveRequest *> waitingSnapshot() const override;
+    void waitingSnapshot(std::vector<LiveRequest *> &out) const override;
 
   private:
     std::deque<LiveRequest *> queue_;

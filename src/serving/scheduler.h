@@ -94,10 +94,12 @@ class Scheduler
     /**
      * Select and reserve admissions for this iteration. Implementations
      * call ctx.tryReserve for each candidate; requests that reserve
-     * successfully must be removed from the wait queues and returned.
+     * successfully must be removed from the wait queues and appended,
+     * in admission order, to `admitted` (a buffer the caller owns and
+     * reuses, so a cycle allocates nothing).
      */
-    virtual std::vector<LiveRequest *> selectAdmissions(
-        AdmissionContext &ctx) = 0;
+    virtual void selectAdmissions(AdmissionContext &ctx,
+                                  std::vector<LiveRequest *> &admitted) = 0;
 
     /** A previously admitted request finished (quota return point). */
     virtual void onRequestFinished(LiveRequest *r) { (void)r; }
@@ -105,8 +107,11 @@ class Scheduler
     /** End-of-iteration hook (periodic reconfiguration lives here). */
     virtual void onIterationEnd(sim::SimTime now) { (void)now; }
 
-    /** Adapters referenced by waiting requests (prefetch targets). */
-    virtual std::vector<LiveRequest *> waitingSnapshot() const = 0;
+    /**
+     * Append every waiting request to `out` (a caller-owned buffer);
+     * their adapters are the prefetch targets.
+     */
+    virtual void waitingSnapshot(std::vector<LiveRequest *> &out) const = 0;
 };
 
 } // namespace chameleon::serving

@@ -12,10 +12,10 @@ SjfScheduler::effectiveSize(const LiveRequest *r, sim::SimTime now) const
            agingPerSecond_ * waited;
 }
 
-std::vector<LiveRequest *>
-SjfScheduler::selectAdmissions(AdmissionContext &ctx)
+void
+SjfScheduler::selectAdmissions(AdmissionContext &ctx,
+                        std::vector<LiveRequest *> &admitted)
 {
-    std::vector<LiveRequest *> admitted;
     while (!queue_.empty() && ctx.admissionSlots > 0 &&
            ctx.prefillTokenBudget > 0) {
         // Pick the waiting request with the smallest effective size.
@@ -32,13 +32,12 @@ SjfScheduler::selectAdmissions(AdmissionContext &ctx)
         ctx.prefillTokenBudget -= r->req.inputTokens;
         --ctx.admissionSlots;
     }
-    return admitted;
 }
 
-std::vector<LiveRequest *>
-SjfScheduler::waitingSnapshot() const
+void
+SjfScheduler::waitingSnapshot(std::vector<LiveRequest *> &out) const
 {
-    return {queue_.begin(), queue_.end()};
+    out.insert(out.end(), queue_.begin(), queue_.end());
 }
 
 } // namespace chameleon::serving

@@ -37,10 +37,10 @@ class SjfScheduler : public Scheduler
     bool hasWaiting() const override { return !queue_.empty(); }
     std::size_t waitingCount() const override { return queue_.size(); }
 
-    std::vector<LiveRequest *> selectAdmissions(
-        AdmissionContext &ctx) override;
+    void selectAdmissions(AdmissionContext &ctx,
+                          std::vector<LiveRequest *> &admitted) override;
 
-    std::vector<LiveRequest *> waitingSnapshot() const override;
+    void waitingSnapshot(std::vector<LiveRequest *> &out) const override;
 
   private:
     double effectiveSize(const LiveRequest *r, sim::SimTime now) const;

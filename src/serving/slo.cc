@@ -10,7 +10,8 @@ namespace {
 
 SimTime
 isolatedE2eFor(std::int64_t input, std::int64_t output, model::AdapterId id,
-               const model::CostModel &cost, const model::AdapterPool *pool)
+               model::IsolatedLatency &isolated,
+               const model::AdapterPool *pool)
 {
     int rank = 0;
     std::int64_t bytes = 0;
@@ -19,8 +20,8 @@ isolatedE2eFor(std::int64_t input, std::int64_t output, model::AdapterId id,
         rank = pool->spec(id).rank;
         bytes = pool->spec(id).bytes;
     }
-    return cost.isolatedE2e(input, output, rank, bytes,
-                            /*includeLoad=*/rank > 0);
+    return isolated.e2e(input, output, rank, bytes,
+                        /*includeLoad=*/rank > 0);
 }
 
 } // namespace
@@ -30,10 +31,11 @@ meanIsolatedE2e(const workload::Trace &trace, const model::CostModel &cost,
                 const model::AdapterPool *pool)
 {
     CHM_CHECK(!trace.empty(), "trace must be non-empty");
+    model::IsolatedLatency isolated(cost);
     double total_s = 0.0;
     for (const auto &r : trace.requests()) {
         total_s += sim::toSeconds(isolatedE2eFor(
-            r.inputTokens, r.outputTokens, r.adapter, cost, pool));
+            r.inputTokens, r.outputTokens, r.adapter, isolated, pool));
     }
     return sim::fromSeconds(total_s /
                             static_cast<double>(trace.size()));
@@ -52,10 +54,11 @@ sim::PercentileTracker
 slowdowns(const std::vector<RequestRecord> &records,
           const model::CostModel &cost, const model::AdapterPool *pool)
 {
+    model::IsolatedLatency isolated(cost);
     sim::PercentileTracker out;
     for (const auto &rec : records) {
         const SimTime iso = isolatedE2eFor(rec.inputTokens, rec.outputTokens,
-                                           rec.adapter, cost, pool);
+                                           rec.adapter, isolated, pool);
         CHM_CHECK(iso > 0, "isolated latency must be positive");
         out.add(static_cast<double>(rec.e2e) / static_cast<double>(iso));
     }

@@ -3,12 +3,11 @@
  * Move-only callable for the simulator's schedule path.
  *
  * std::function heap-allocates for any capture beyond ~two words, and
- * the kernel's hot closures are bigger than that (the engine's
- * finishIteration event captures this + a duration + two vectors —
- * 64 bytes). EventFn keeps a 64-byte inline buffer so every closure on
- * the simulation hot path is stored in place; larger captures fall
- * back to the heap. Move-only (closures may own resources); invoking
- * an empty EventFn is undefined.
+ * closures scheduled on the hot path may be bigger than that. EventFn
+ * keeps a 64-byte inline buffer so every closure on the simulation hot
+ * path is stored in place; larger captures fall back to the heap.
+ * Move-only (closures may own resources); invoking an empty EventFn is
+ * undefined.
  */
 
 #ifndef CHAMELEON_SIMKIT_EVENT_FN_H
@@ -24,7 +23,7 @@ namespace chameleon::sim {
 class EventFn
 {
   public:
-    /** Inline capture budget; sized for the engine's largest closure. */
+    /** Inline capture budget (eight words). */
     static constexpr std::size_t kInlineBytes = 64;
 
     EventFn() = default;

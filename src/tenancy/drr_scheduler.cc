@@ -43,10 +43,10 @@ DrrScheduler::requeueFront(LiveRequest *r)
     ++waiting_;
 }
 
-std::vector<LiveRequest *>
-DrrScheduler::selectAdmissions(AdmissionContext &ctx)
+void
+DrrScheduler::selectAdmissions(AdmissionContext &ctx,
+                               std::vector<LiveRequest *> &admitted)
 {
-    std::vector<LiveRequest *> admitted;
     // One DRR round per engine iteration: every active tenant is visited
     // at most once, banks quantum * weight, and admits what its deficit
     // covers. A failed reservation ends the whole selection (resources
@@ -86,20 +86,15 @@ DrrScheduler::selectAdmissions(AdmissionContext &ctx)
             ring_.push_back(tenant);
         }
     }
-    return admitted;
 }
 
-std::vector<LiveRequest *>
-DrrScheduler::waitingSnapshot() const
+void
+DrrScheduler::waitingSnapshot(std::vector<LiveRequest *> &out) const
 {
-    std::vector<LiveRequest *> out;
-    out.reserve(waiting_);
     for (const auto &[tenant, q] : queues_) {
         (void)tenant;
-        for (LiveRequest *r : q.entries)
-            out.push_back(r);
+        out.insert(out.end(), q.entries.begin(), q.entries.end());
     }
-    return out;
 }
 
 std::vector<std::pair<TenantId, std::int64_t>>

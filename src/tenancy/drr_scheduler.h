@@ -44,10 +44,12 @@ class DrrScheduler : public serving::Scheduler
     bool hasWaiting() const override { return waiting_ > 0; }
     std::size_t waitingCount() const override { return waiting_; }
 
-    std::vector<serving::LiveRequest *> selectAdmissions(
-        serving::AdmissionContext &ctx) override;
+    void selectAdmissions(
+        serving::AdmissionContext &ctx,
+        std::vector<serving::LiveRequest *> &admitted) override;
 
-    std::vector<serving::LiveRequest *> waitingSnapshot() const override;
+    void waitingSnapshot(
+        std::vector<serving::LiveRequest *> &out) const override;
 
     /** Per-tenant deficit counters, for the non-negativity invariant. */
     std::vector<std::pair<TenantId, std::int64_t>> deficits() const;

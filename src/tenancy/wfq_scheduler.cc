@@ -44,10 +44,10 @@ WfqScheduler::requeueFront(LiveRequest *r)
     ++waiting_;
 }
 
-std::vector<LiveRequest *>
-WfqScheduler::selectAdmissions(AdmissionContext &ctx)
+void
+WfqScheduler::selectAdmissions(AdmissionContext &ctx,
+                               std::vector<LiveRequest *> &admitted)
 {
-    std::vector<LiveRequest *> admitted;
     while (waiting_ > 0 && ctx.admissionSlots > 0 &&
            ctx.prefillTokenBudget > 0) {
         // Pick the non-empty tenant queue whose head carries the
@@ -74,7 +74,6 @@ WfqScheduler::selectAdmissions(AdmissionContext &ctx)
         ctx.prefillTokenBudget -= head->req.inputTokens;
         --ctx.admissionSlots;
     }
-    return admitted;
 }
 
 void
@@ -83,17 +82,14 @@ WfqScheduler::onRequestFinished(LiveRequest *r)
     startTags_.erase(r);
 }
 
-std::vector<LiveRequest *>
-WfqScheduler::waitingSnapshot() const
+void
+WfqScheduler::waitingSnapshot(std::vector<LiveRequest *> &out) const
 {
-    std::vector<LiveRequest *> out;
-    out.reserve(waiting_);
     for (const auto &[tenant, q] : queues_) {
         (void)tenant;
         for (const Entry &e : q.entries)
             out.push_back(e.req);
     }
-    return out;
 }
 
 } // namespace chameleon::tenancy

@@ -43,12 +43,14 @@ class WfqScheduler : public serving::Scheduler
     bool hasWaiting() const override { return waiting_ > 0; }
     std::size_t waitingCount() const override { return waiting_; }
 
-    std::vector<serving::LiveRequest *> selectAdmissions(
-        serving::AdmissionContext &ctx) override;
+    void selectAdmissions(
+        serving::AdmissionContext &ctx,
+        std::vector<serving::LiveRequest *> &admitted) override;
 
     void onRequestFinished(serving::LiveRequest *r) override;
 
-    std::vector<serving::LiveRequest *> waitingSnapshot() const override;
+    void waitingSnapshot(
+        std::vector<serving::LiveRequest *> &out) const override;
 
     /** Current system virtual time (for tests). */
     double virtualTime() const { return virtualTime_; }

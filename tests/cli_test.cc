@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -54,6 +55,17 @@ expectUsageError(const std::string &args, const std::string &names,
         << args << "\n" << outcome.output;
     EXPECT_EQ(outcome.output.find("panic:"), std::string::npos)
         << args << "\n" << outcome.output;
+}
+
+/** Write a trace CSV (header + `rows`) to a temp file; its path. */
+std::string
+traceFile(const std::string &name, const std::string &rows)
+{
+    const std::string path = testing::TempDir() + "cli_trace_" + name;
+    std::ofstream(path)
+        << "id,arrival_us,input_tokens,output_tokens,adapter,tenant\n"
+        << rows;
+    return path;
 }
 
 } // namespace
@@ -118,4 +130,53 @@ TEST(CliBoundary, RejectsCountsBeyondInt)
 TEST(CliBoundary, RejectsMissingTraceFile)
 {
     expectUsageError("--trace /nonexistent/trace.csv", "--trace");
+}
+
+TEST(CliBoundary, WellFormedTraceFileRuns)
+{
+    // Legacy 5-column rows, a blank line and CRLF endings all load.
+    const std::string path = traceFile(
+        "good.csv", "0,0,64,8,-1\r\n1,1000,32,4,3,0\n\n2,2000,16,2,1\n");
+    const Outcome outcome =
+        runSim("--trace " + path + " --adapters 10 --seed 1");
+    EXPECT_EQ(outcome.exitCode, 0) << outcome.output;
+    EXPECT_NE(outcome.output.find("3 requests"), std::string::npos)
+        << outcome.output;
+}
+
+TEST(CliBoundary, RejectsMalformedTraceRow)
+{
+    const std::string path =
+        traceFile("short.csv", "0,0,64,8,-1\n0,abc,5\n");
+    expectUsageError("--trace " + path, "short.csv:3: expected 5 or 6");
+    const std::string word = traceFile("word.csv", "0,abc,64,8,-1\n");
+    expectUsageError("--trace " + word,
+                     "word.csv:2: arrival_us 'abc' is not an integer");
+}
+
+TEST(CliBoundary, RejectsNegativeTraceTokenCounts)
+{
+    expectUsageError("--trace " +
+                         traceFile("neg_in.csv", "0,0,-5,8,-1\n"),
+                     "neg_in.csv:2: input_tokens must be >= 1");
+    expectUsageError("--trace " +
+                         traceFile("neg_out.csv", "0,0,5,8,-1\n1,9,5,-2,-1\n"),
+                     "neg_out.csv:3: output_tokens must be >= 1");
+}
+
+TEST(CliBoundary, RejectsNonMonotoneTraceArrivals)
+{
+    expectUsageError(
+        "--trace " +
+            traceFile("order.csv", "0,5000,16,4,-1\n1,4000,16,4,-1\n"),
+        "order.csv:3: arrival_us 4000 is earlier than the previous row's "
+        "5000");
+}
+
+TEST(CliBoundary, RejectsTraceAdaptersOutsideThePool)
+{
+    expectUsageError("--adapters 4 --trace " +
+                         traceFile("pool.csv", "0,0,16,4,4\n"),
+                     "--trace request 0 names adapter 4, but --adapters "
+                     "is 4");
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "chameleon/eviction.h"
+#include "chameleon/system_spec.h"
 #include "simkit/time.h"
 
 using namespace chameleon;
@@ -130,8 +131,12 @@ TEST(GdsfEviction, AgingRaisesFloor)
 
 TEST(EvictionFactory, KnownNames)
 {
-    EXPECT_STREQ(core::makeEvictionPolicy("chameleon")->name(), "chameleon");
-    EXPECT_STREQ(core::makeEvictionPolicy("lru")->name(), "lru");
-    EXPECT_STREQ(core::makeEvictionPolicy("fairshare")->name(), "fairshare");
-    EXPECT_STREQ(core::makeEvictionPolicy("gdsf")->name(), "gdsf");
+    // Every kind builds a policy that reports the kind's table name.
+    ASSERT_EQ(core::allEvictionPolicies().size(), 4u);
+    for (const core::EvictionKind kind : core::allEvictionPolicies()) {
+        EXPECT_STREQ(core::makeEvictionPolicy(kind)->name(),
+                     core::evictionPolicyName(kind));
+    }
+    EXPECT_STREQ(core::makeEvictionPolicy(core::EvictionKind::Paper)->name(),
+                 "chameleon");
 }

@@ -42,20 +42,61 @@ namespace {
 
 constexpr std::uint64_t kSeed = 1234;
 
+/** Doubles by bit pattern, as the library serialises them. */
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t out;
+    std::memcpy(&out, &value, sizeof(out));
+    return out;
+}
+
 /**
- * The canonical stream and hash now live in the library
+ * The suite's original local serialiser, on std::ostream. The library
+ * now formats the stream itself (std::to_chars, streamed into the hash
+ * without a string); every scenario checks that it still emits exactly
+ * these bytes.
+ */
+std::string
+ostreamEventStream(core::Runner &runner, const core::RunReport &report)
+{
+    std::ostringstream os;
+    os << "finished=" << report.stats.finished
+       << " scale_ups=" << report.scaleUps
+       << " scale_downs=" << report.scaleDowns
+       << " peak=" << report.peakReplicas
+       << " final_active=" << report.finalActiveReplicas << '\n';
+    const auto &engines = runner.cluster().engines();
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+        for (const auto &r : engines[i]->stats().records) {
+            os << i << ',' << r.id << ',' << r.arrival << ','
+               << r.inputTokens << ',' << r.outputTokens << ','
+               << r.adapter << ',' << r.rank << ',' << r.ttft << ','
+               << r.e2e << ',' << r.queueDelay << ',' << r.adapterStall
+               << ',' << bitsOf(r.wrs) << ',' << r.queueIndex << ','
+               << r.squashCount << ',' << r.preemptCount << '\n';
+        }
+    }
+    return os.str();
+}
+
+/**
+ * The canonical stream and hash live in the library
  * (core::canonicalEventStream / core::fnv1a64) so sweeps and
  * `chameleon_sweep --baseline` fingerprint cells in this suite's exact
- * format; the pins below — recorded against the test's original local
+ * format; the pins below — recorded against the suite's original
  * serialiser — staying green is the proof the library emits the same
- * bytes. RunReport::eventHash is the same value end-to-end, asserted
- * per scenario.
+ * bytes. Per scenario, RunReport::eventHash (hashed while the stream is
+ * written, never materialised) must equal the hash of the text, and the
+ * text must equal the std::ostream rendering.
  */
 std::uint64_t
 canonicalHash(core::Runner &runner, const core::RunReport &report)
 {
-    const std::uint64_t hash = core::fnv1a64(
-        core::canonicalEventStream(runner.cluster(), report));
+    const std::string text =
+        core::canonicalEventStream(runner.cluster(), report);
+    EXPECT_EQ(text, ostreamEventStream(runner, report));
+    const std::uint64_t hash = core::fnv1a64(text);
     EXPECT_EQ(hash, report.eventHash);
     return hash;
 }

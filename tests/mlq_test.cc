@@ -189,7 +189,7 @@ TEST(MlqScheduler, BootstrapsWithSingleQueue)
     auto r = liveRequest(1, 64, 64, 0, pool.spec(0).bytes, 8);
     sched.enqueue(&r);
     FakeAdmission fake;
-    EXPECT_EQ(sched.selectAdmissions(fake.ctx).size(), 1u);
+    EXPECT_EQ(testutil::admit(sched, fake.ctx).size(), 1u);
 }
 
 TEST(MlqScheduler, ReconfiguresIntoMultipleQueues)
@@ -231,7 +231,7 @@ TEST(MlqScheduler, SmallLaneIsTheExpressLane)
     // Admissions must start from the small-request lane.
     FakeAdmission fake;
     fake.ctx.admissionSlots = 5;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_FALSE(admitted.empty());
     for (const auto *r : admitted)
         EXPECT_LE(r->req.inputTokens, 8);
@@ -250,7 +250,7 @@ TEST(MlqScheduler, QuotaLimitsLaneOccupancy)
     for (auto &r : reqs)
         sched.enqueue(&r);
     FakeAdmission fake;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     // Token cost per request is ~830 (400+400+adapter): only 2 fit the
     // 2000-token pool; the rest wait even though resources were "free".
     EXPECT_EQ(admitted.size(), 2u);
@@ -261,7 +261,7 @@ TEST(MlqScheduler, QuotaLimitsLaneOccupancy)
     done->finishTime = sim::fromSeconds(1.0);
     sched.onRequestFinished(done);
     FakeAdmission fake2;
-    EXPECT_EQ(sched.selectAdmissions(fake2.ctx).size(), 1u);
+    EXPECT_EQ(testutil::admit(sched, fake2.ctx).size(), 1u);
 }
 
 TEST(MlqScheduler, SpareResourcesRedistributed)
@@ -285,7 +285,7 @@ TEST(MlqScheduler, SpareResourcesRedistributed)
     ASSERT_GE(sched.queueCount(), 2);
     // Drain everything; the scheduler may admit from every lane.
     FakeAdmission fake;
-    const auto first = sched.selectAdmissions(fake.ctx);
+    const auto first = testutil::admit(sched, fake.ctx);
     EXPECT_FALSE(first.empty());
     // Now only large requests remain waiting; quotas of the (drained)
     // small lane must be usable by the large lane.
@@ -299,7 +299,7 @@ TEST(MlqScheduler, SpareResourcesRedistributed)
             }
         }
         FakeAdmission again;
-        const auto more = sched.selectAdmissions(again.ctx);
+        const auto more = testutil::admit(sched, again.ctx);
         drained += more.size();
         for (auto *r : more) {
             r->phase = serving::RequestPhase::Finished;
@@ -333,7 +333,7 @@ TEST(MlqScheduler, BypassAdmitsYoungerOnAdapterMemoryBlock)
     int bypasses = 0;
     fake.ctx.noteBypass = [&] { ++bypasses; };
 
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 1u);
     EXPECT_EQ(admitted[0], &younger);
     EXPECT_EQ(bypasses, 1);
@@ -360,7 +360,7 @@ TEST(MlqScheduler, BypassGuardBlocksLongBypasser)
     fake.ctx.estimateExecTime = [](const serving::LiveRequest *) {
         return sim::fromSeconds(10.0);
     };
-    EXPECT_TRUE(sched.selectAdmissions(fake.ctx).empty());
+    EXPECT_TRUE(testutil::admit(sched, fake.ctx).empty());
     EXPECT_EQ(sched.waitingCount(), 2u);
 }
 
@@ -379,7 +379,7 @@ TEST(MlqScheduler, WrongBypassGetsSquashed)
     fake.ctx.estimateMemoryFree = [](std::int64_t) {
         return sim::fromSeconds(100.0);
     };
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 1u);
     admitted[0]->phase = serving::RequestPhase::Running;
 
@@ -399,7 +399,7 @@ TEST(MlqScheduler, WrongBypassGetsSquashed)
         r->phase = serving::RequestPhase::Waiting;
         sched.requeueFront(r);
     };
-    sched.selectAdmissions(next.ctx);
+    testutil::admit(sched, next.ctx);
     EXPECT_TRUE(squashed);
 }
 

@@ -18,6 +18,7 @@
 #include "model/cost_model.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
+#include "simkit/rng.h"
 #include "simkit/time.h"
 
 namespace model = chameleon::model;
@@ -251,6 +252,55 @@ TEST(CostModel, IsolatedE2eAccumulatesDecodes)
     EXPECT_EQ(one, cost.isolatedTtft(model::kMediumInputTokens, 0, 0, false));
     // Nine extra decode iterations at ~25 ms each.
     EXPECT_NEAR(sim::toMillis(ten - one), 9 * 25.5, 9 * 4.0);
+}
+
+// The prefix-sum table must reproduce the reference loop bit for bit.
+TEST(IsolatedLatency, EqualsTheReferenceOnEveryPresetAndTp)
+{
+    const char *models[] = {"llama-7b", "llama-13b", "llama-30b",
+                            "llama-70b"};
+    const char *gpus[] = {"a40", "a100", "a100-24", "a100-48", "a100-80"};
+    const int ranks[] = {0, 8, 16, 32, 64, 128};
+    sim::Rng rng(2024);
+    int checked = 0;
+    for (const char *modelName : models) {
+        for (const char *gpuName : gpus) {
+            for (const int tp : {1, 2, 4, 8}) {
+                model::ModelSpec m;
+                model::GpuSpec g;
+                ASSERT_TRUE(model::tryModelByName(modelName, &m));
+                ASSERT_TRUE(model::tryGpuByName(gpuName, &g));
+                const model::CostModel cost(m, g, tp);
+                model::IsolatedLatency table(cost);
+                auto check = [&](std::int64_t in, std::int64_t out,
+                                 int rank, bool load) {
+                    const std::int64_t bytes = rank > 0 ? rank * 4096 : 0;
+                    ASSERT_EQ(table.e2e(in, out, rank, bytes, load),
+                              cost.isolatedE2e(in, out, rank, bytes, load))
+                        << modelName << '/' << gpuName << " tp" << tp
+                        << " in " << in << " out " << out << " rank "
+                        << rank;
+                    ++checked;
+                };
+                for (int i = 0; i < 12; ++i) {
+                    const int rank = ranks[rng.nextBelow(6)];
+                    check(1 + static_cast<std::int64_t>(rng.nextBelow(2048)),
+                          1 + static_cast<std::int64_t>(rng.nextBelow(512)),
+                          rank, rng.nextBelow(2) == 1);
+                }
+                // One- and two-token outputs: no decode step, one step.
+                check(142, 1, 8, true);
+                check(142, 2, 8, true);
+                check(1, 1, 0, false);
+                check(1, 2, 0, false);
+                // Longer than any context so far: the table grows, and
+                // the shorter entries it already held stay exact.
+                check(6000, 900, 16, false);
+                check(20, 3, 16, false);
+            }
+        }
+    }
+    EXPECT_EQ(checked, 4 * 5 * 4 * 18);
 }
 
 TEST(CostModel, RejectsNonPowerOfTwoTp)

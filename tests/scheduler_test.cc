@@ -23,7 +23,7 @@ TEST(FifoScheduler, AdmitsInArrivalOrder)
     sched.enqueue(&b);
     sched.enqueue(&c);
     FakeAdmission fake;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 3u);
     EXPECT_EQ(admitted[0], &a);
     EXPECT_EQ(admitted[1], &b);
@@ -40,7 +40,7 @@ TEST(FifoScheduler, HeadOfLineBlocks)
     sched.enqueue(&small);
     FakeAdmission fake;
     fake.refuse = &big; // the head cannot reserve resources
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     // Nothing behind the blocked head may pass.
     EXPECT_TRUE(admitted.empty());
     EXPECT_EQ(sched.waitingCount(), 2u);
@@ -55,7 +55,7 @@ TEST(FifoScheduler, RespectsAdmissionSlots)
     sched.enqueue(&b);
     FakeAdmission fake;
     fake.ctx.admissionSlots = 1;
-    EXPECT_EQ(sched.selectAdmissions(fake.ctx).size(), 1u);
+    EXPECT_EQ(testutil::admit(sched, fake.ctx).size(), 1u);
     EXPECT_EQ(sched.waitingCount(), 1u);
 }
 
@@ -68,7 +68,7 @@ TEST(FifoScheduler, PrefillBudgetGatesButNeverBlocksFirst)
     sched.enqueue(&next);
     FakeAdmission fake;
     fake.ctx.prefillTokenBudget = 256;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     // The oversized head is admitted (no live-lock), then the budget is
     // exhausted for this iteration.
     ASSERT_EQ(admitted.size(), 1u);
@@ -83,7 +83,7 @@ TEST(FifoScheduler, RequeueFrontRestoresPosition)
     sched.enqueue(&b);
     sched.requeueFront(&a);
     FakeAdmission fake;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 2u);
     EXPECT_EQ(admitted[0], &a);
 }
@@ -98,7 +98,7 @@ TEST(SjfScheduler, ShortestPredictedFirst)
     sched.enqueue(&shortr);
     sched.enqueue(&medr);
     FakeAdmission fake;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 3u);
     EXPECT_EQ(admitted[0], &shortr);
     EXPECT_EQ(admitted[1], &medr);
@@ -117,7 +117,7 @@ TEST(SjfScheduler, LongRequestsStarveWhileShortsArrive)
         sched.enqueue(&s);
     FakeAdmission fake;
     fake.ctx.admissionSlots = 4;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 4u);
     for (const auto *r : admitted)
         EXPECT_NE(r, &longr); // all four shorts pass the long request
@@ -138,7 +138,7 @@ TEST(SjfScheduler, AgingEventuallyPromotesLongRequests)
     fake.ctx.admissionSlots = 1;
     // After 60 s of waiting the long request's effective size is
     // 100 - 600 < 5, so it goes first.
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 1u);
     EXPECT_EQ(admitted[0], &longr);
 }

@@ -125,11 +125,11 @@ struct LegacySystem
         } else {
             core::CacheConfig ccfg;
             if (kind == "chameleon-lru")
-                ccfg.evictionPolicy = "lru";
+                ccfg.eviction = core::EvictionKind::Lru;
             else if (kind == "chameleon-fairshare")
-                ccfg.evictionPolicy = "fairshare";
+                ccfg.eviction = core::EvictionKind::FairShare;
             else if (kind == "chameleon-gdsf")
-                ccfg.evictionPolicy = "gdsf";
+                ccfg.eviction = core::EvictionKind::Gdsf;
             ccfg.predictivePrefetch = kind == "chameleon-prefetch";
             ccfg.predictiveTopK = 8;
             engine->setAdapterManager(std::make_unique<core::CacheManager>(

@@ -118,7 +118,7 @@ TEST(WfqScheduler, SingleTenantAdmitsInArrivalOrder)
     sched.enqueue(&b);
     sched.enqueue(&c);
     FakeAdmission fake;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 3u);
     EXPECT_EQ(admitted[0], &a);
     EXPECT_EQ(admitted[1], &b);
@@ -139,7 +139,7 @@ TEST(WfqScheduler, InterleavesTenantsByVirtualStartTime)
     sched.enqueue(&b1);
     sched.enqueue(&b2);
     FakeAdmission fake;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 4u);
     EXPECT_EQ(admitted[0], &a1);
     EXPECT_EQ(admitted[1], &b1);
@@ -163,7 +163,7 @@ TEST(WfqScheduler, HigherWeightFinishesEarlierTags)
     for (auto &r : reqs)
         sched.enqueue(&r);
     FakeAdmission fake;
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 10u);
     // Among the first five admissions, tenant 1 holds the majority.
     int heavy = 0;
@@ -181,7 +181,7 @@ TEST(WfqScheduler, BlockedHeadStopsSelection)
     sched.enqueue(&b);
     FakeAdmission fake;
     fake.refuse = &a; // the minimum-tag head cannot reserve
-    const auto admitted = sched.selectAdmissions(fake.ctx);
+    const auto admitted = testutil::admit(sched, fake.ctx);
     EXPECT_TRUE(admitted.empty());
     EXPECT_EQ(sched.waitingCount(), 2u);
 }
@@ -194,10 +194,10 @@ TEST(WfqScheduler, RequeueFrontKeepsOriginalTag)
     sched.enqueue(&a);
     sched.enqueue(&b);
     FakeAdmission fake;
-    auto admitted = sched.selectAdmissions(fake.ctx);
+    auto admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 2u);
     sched.requeueFront(&a); // squashed back with its original tag
-    admitted = sched.selectAdmissions(fake.ctx);
+    admitted = testutil::admit(sched, fake.ctx);
     ASSERT_EQ(admitted.size(), 1u);
     EXPECT_EQ(admitted[0], &a);
 }
@@ -226,7 +226,7 @@ TEST(DrrScheduler, DeficitsNeverGoNegative)
             sched.enqueue(&reqs[next++]);
         FakeAdmission fake;
         fake.ctx.admissionSlots = 1 + static_cast<int>(rng.nextBelow(3));
-        sched.selectAdmissions(fake.ctx);
+        testutil::admit(sched, fake.ctx);
         for (const auto &[tenant, deficit] : sched.deficits()) {
             EXPECT_GE(deficit, 0)
                 << "tenant " << tenant << " round " << round;
@@ -241,7 +241,7 @@ TEST(DrrScheduler, DrainedQueueForfeitsDeficit)
     auto a = tenantRequest(1, 0, 10, 10);
     sched.enqueue(&a);
     FakeAdmission fake;
-    ASSERT_EQ(sched.selectAdmissions(fake.ctx).size(), 1u);
+    ASSERT_EQ(testutil::admit(sched, fake.ctx).size(), 1u);
     // The drained queue banks nothing for its next busy period.
     for (const auto &[tenant, deficit] : sched.deficits())
         EXPECT_EQ(deficit, 0) << "tenant " << tenant;
@@ -266,7 +266,7 @@ TEST(DrrScheduler, WeightScalesPerRoundService)
     for (int round = 0; round < 4; ++round) {
         FakeAdmission fake;
         fake.ctx.admissionSlots = 4;
-        for (const auto *r : sched.selectAdmissions(fake.ctx))
+        for (const auto *r : testutil::admit(sched, fake.ctx))
             ++admittedBy[r->req.tenant];
     }
     EXPECT_GT(admittedBy[0], 2 * admittedBy[1]);

@@ -77,6 +77,15 @@ struct FakeAdmission
     }
 };
 
+/** Run one admission cycle; the admitted requests, in order. */
+inline std::vector<serving::LiveRequest *>
+admit(serving::Scheduler &sched, serving::AdmissionContext &ctx)
+{
+    std::vector<serving::LiveRequest *> admitted;
+    sched.selectAdmissions(ctx, admitted);
+    return admitted;
+}
+
 /** A fully wired engine with FIFO scheduling and baseline adapters. */
 struct BaselineEngine
 {

@@ -458,7 +458,16 @@ main(int argc, char **argv)
     if (!trace_in->empty()) {
         require(std::ifstream(*trace_in).good(),
                 "cannot open --trace file " + *trace_in);
-        trace = workload::Trace::loadCsv(*trace_in);
+        std::string error;
+        const bool loaded =
+            workload::Trace::tryLoadCsv(*trace_in, &trace, &error);
+        require(loaded, "bad --trace file: " + error);
+        for (const auto &r : trace.requests()) {
+            require(r.adapter < *adapters,
+                    "--trace request " + std::to_string(r.id) +
+                        " names adapter " + std::to_string(r.adapter) +
+                        ", but --adapters is " + std::to_string(*adapters));
+        }
     } else {
         workload::TraceGenConfig wl = *workload_name == "wildchat"
                                           ? workload::wildchatLike()
