@@ -164,6 +164,10 @@ SimTime
 IsolatedLatency::e2e(std::int64_t inputTokens, std::int64_t outputTokens,
                      int rank, std::int64_t adapterBytes, bool includeLoad)
 {
+    if (inputTokens > kMaxContextTokens - outputTokens) {
+        return cost_->isolatedE2e(inputTokens, outputTokens, rank,
+                                  adapterBytes, includeLoad);
+    }
     SimTime t = cost_->isolatedTtft(inputTokens, rank, adapterBytes,
                                     includeLoad);
     if (outputTokens <= 1)

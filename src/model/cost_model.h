@@ -187,7 +187,9 @@ class CostModel
  * CostModel::isolatedE2e into
  *     isolatedTtft + P[in + out] - P[in + 1],
  * the same integer sum, bit for bit. Tables are built per rank on
- * first use and grow to the longest context seen.
+ * first use and grow to the longest context seen, up to
+ * kMaxContextTokens; a longer context runs the reference loop, so no
+ * request costs more time or memory than it does there.
  *
  * A small mutable value: give each thread its own (the CostModel it
  * reads is shared read-only). It keeps a pointer to `cost`, which must

@@ -19,6 +19,13 @@
 namespace chameleon::model {
 
 /**
+ * Longest context, input plus output tokens, of one request: 2^20, far
+ * above the context window of every preset (2-4k tokens). Trace files
+ * reject longer rows, and IsolatedLatency stops growing its tables here.
+ */
+inline constexpr std::int64_t kMaxContextTokens = std::int64_t{1} << 20;
+
+/**
  * Static description of a base LLM.
  *
  * All byte quantities assume fp16 weights and KV entries, matching the

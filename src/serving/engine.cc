@@ -427,8 +427,9 @@ ServingEngine::finishIteration(SimTime duration)
     ewmaIterUs_ = (1.0 - kIterEwmaAlpha) * ewmaIterUs_ +
                   kIterEwmaAlpha * static_cast<double>(duration);
 
-    // Decode step: one token per running request. Work on a snapshot so
-    // requests promoted from prefill below do not decode this iteration.
+    // Decode step: one token per running request. Requests promoted from
+    // prefill below are appended after this partition, so they do not
+    // decode this iteration.
     if (!running_.empty())
         stats_.tbt.add(sim::toMillis(duration));
     // Partition in place: survivors keep their order at the front, the

@@ -111,6 +111,10 @@ parseRow(std::string_view line, Request *r)
         return "input_tokens must be >= 1";
     if (r->outputTokens < 1)
         return "output_tokens must be >= 1";
+    if (r->inputTokens > model::kMaxContextTokens - r->outputTokens) {
+        return "input_tokens + output_tokens must be <= " +
+               std::to_string(model::kMaxContextTokens);
+    }
     if (r->adapter < 0 && r->adapter != model::kNoAdapter) {
         return "adapter must be >= 0, or " +
                std::to_string(model::kNoAdapter) + " for the base model";
@@ -162,15 +166,6 @@ Trace::tryLoadCsv(const std::string &path, Trace *out, std::string *error)
     }
     *out = Trace(std::move(reqs));
     return true;
-}
-
-Trace
-Trace::loadCsv(const std::string &path)
-{
-    Trace trace;
-    std::string error;
-    CHM_CHECK(tryLoadCsv(path, &trace, &error), error);
-    return trace;
 }
 
 } // namespace chameleon::workload

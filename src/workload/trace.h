@@ -43,15 +43,13 @@ class Trace
      * column is optional for pre-tenancy traces). Returns false on the
      * first bad row, with `error` naming its 1-based line and the
      * reason: an unreadable file, a field that is not a whole integer,
-     * a wrong column count, token counts below 1, a negative arrival,
-     * adapter or tenant, an arrival earlier than the row before, or a
-     * repeated id. Never aborts: for user-supplied files.
+     * a wrong column count, token counts below 1 or summing above
+     * model::kMaxContextTokens, a negative arrival, adapter or tenant,
+     * an arrival earlier than the row before, or a repeated id. Never
+     * aborts.
      */
     static bool tryLoadCsv(const std::string &path, Trace *out,
                            std::string *error);
-
-    /** tryLoadCsv for trusted files: aborts on a malformed one. */
-    static Trace loadCsv(const std::string &path);
 
   private:
     std::vector<Request> requests_;

@@ -164,6 +164,21 @@ TEST(CliBoundary, RejectsNegativeTraceTokenCounts)
                      "neg_out.csv:3: output_tokens must be >= 1");
 }
 
+TEST(CliBoundary, RejectsTraceContextsBeyondTheMaximum)
+{
+    expectUsageError("--trace " +
+                         traceFile("long.csv", "0,0,1000000000,2,-1\n"),
+                     "long.csv:2: input_tokens + output_tokens must be <= "
+                     "1048576");
+    // A sum that would overflow int64 is rejected the same way.
+    expectUsageError(
+        "--trace " + traceFile("overflow.csv",
+                               "0,0,16,4,-1\n"
+                               "1,9,9223372036854775807,9223372036854775807,"
+                               "-1\n"),
+        "overflow.csv:3: input_tokens + output_tokens must be <= 1048576");
+}
+
 TEST(CliBoundary, RejectsNonMonotoneTraceArrivals)
 {
     expectUsageError(

@@ -297,10 +297,12 @@ TEST(IsolatedLatency, EqualsTheReferenceOnEveryPresetAndTp)
                 // the shorter entries it already held stay exact.
                 check(6000, 900, 16, false);
                 check(20, 3, 16, false);
+                // Past kMaxContextTokens: the reference loop, no table.
+                check(model::kMaxContextTokens, 3, 16, true);
             }
         }
     }
-    EXPECT_EQ(checked, 4 * 5 * 4 * 18);
+    EXPECT_EQ(checked, 4 * 5 * 4 * 19);
 }
 
 TEST(CostModel, RejectsNonPowerOfTwoTp)

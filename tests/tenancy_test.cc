@@ -399,7 +399,9 @@ TEST(TenantTraceGen, CsvRoundTripsTenantsAndReadsLegacyRows)
     const auto trace = gen.generate();
     const std::string path = "tenancy_test_trace.csv";
     trace.saveCsv(path);
-    const auto loaded = workload::Trace::loadCsv(path);
+    workload::Trace loaded;
+    std::string error;
+    ASSERT_TRUE(workload::Trace::tryLoadCsv(path, &loaded, &error)) << error;
     ASSERT_EQ(loaded.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
         EXPECT_EQ(loaded.requests()[i].tenant, trace.requests()[i].tenant)
@@ -413,7 +415,8 @@ TEST(TenantTraceGen, CsvRoundTripsTenantsAndReadsLegacyRows)
         out << "id,arrival_us,input_tokens,output_tokens,adapter\n";
         out << "0,1000,128,32,2\n";
     }
-    const auto old = workload::Trace::loadCsv(legacy);
+    workload::Trace old;
+    ASSERT_TRUE(workload::Trace::tryLoadCsv(legacy, &old, &error)) << error;
     ASSERT_EQ(old.size(), 1u);
     EXPECT_EQ(old.requests()[0].tenant, workload::kAnonymousTenant);
 }

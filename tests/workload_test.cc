@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 
 #include "model/adapter.h"
 #include "model/llm.h"
@@ -45,7 +46,9 @@ TEST(Trace, CsvRoundTrip)
     t.append({1, 250, 2000, 1, model::kNoAdapter});
     const std::string path = ::testing::TempDir() + "/trace_roundtrip.csv";
     t.saveCsv(path);
-    const auto loaded = workload::Trace::loadCsv(path);
+    workload::Trace loaded;
+    std::string error;
+    ASSERT_TRUE(workload::Trace::tryLoadCsv(path, &loaded, &error)) << error;
     ASSERT_EQ(loaded.size(), 2u);
     EXPECT_EQ(loaded[0].arrival, 100);
     EXPECT_EQ(loaded[1].inputTokens, 2000);

@@ -456,8 +456,6 @@ main(int argc, char **argv)
 
     workload::Trace trace;
     if (!trace_in->empty()) {
-        require(std::ifstream(*trace_in).good(),
-                "cannot open --trace file " + *trace_in);
         std::string error;
         const bool loaded =
             workload::Trace::tryLoadCsv(*trace_in, &trace, &error);

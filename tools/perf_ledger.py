@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/perf_ledger.py --seed 1 --seconds 10
+    python3 tools/perf_ledger.py --seconds 10
     python3 tools/perf_ledger.py --checkout ../other --commit 7d8692d \\
         --workload single-replica-churn
 
@@ -11,10 +11,11 @@ For each workload it runs `python3 perfbench/run.py` unchanged inside
 the checkout and appends one JSON row to the ledger
 (bench/perf/ledger.jsonl next to this script by default):
 
-    {"commit", "workload", "seed", "seconds", "trace", "host",
-     "event_hash", "result"}
+    {"commit", "workload", "seed", "seconds", "host", "event_hash",
+     "result"}
 
-`result` is perfbench's JSON result line as printed; `event_hash` is the
+Every row is an untraced perfbench run (--trace 0) at seed 1. `result`
+is perfbench's JSON result line as printed; `event_hash` is the
 eventHash perfbench printed for the workload's trace; `host` names the
 machine the row was measured on, since host metrics are only comparable
 between rows from the same host. `--commit` defaults to
@@ -33,6 +34,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ["single-replica-churn", "fleet256-jsq", "autoscale-fabric-step"]
+SEED = 1
 HASH_LINE = re.compile(r"eventHash (0x[0-9a-f]+)")
 
 
@@ -60,8 +62,8 @@ def host():
 def run(checkout, workload, args):
     """One perfbench run; (result dict, event hash) or None."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", str(args.trace)]
+           "--seed", str(SEED), "--seconds", str(args.seconds),
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           text=True)
     lines = proc.stdout.strip().splitlines()
@@ -78,9 +80,7 @@ def main():
     parser.add_argument("--commit", help="commit label for the rows")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeatable; default: all three")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--ledger",
                         default=os.path.join(ROOT, "bench", "perf",
                                              "ledger.jsonl"))
@@ -98,9 +98,9 @@ def main():
             failed += 1
             continue
         result, event_hash = outcome
-        row = {"commit": commit, "workload": workload, "seed": args.seed,
-               "seconds": args.seconds, "trace": args.trace,
-               "host": host(), "event_hash": event_hash, "result": result}
+        row = {"commit": commit, "workload": workload, "seed": SEED,
+               "seconds": args.seconds, "host": host(),
+               "event_hash": event_hash, "result": result}
         os.makedirs(os.path.dirname(os.path.abspath(args.ledger)),
                     exist_ok=True)
         with open(args.ledger, "a") as ledger:
