@@ -4,7 +4,8 @@
  *  - JSON loading: defaults, strict unknown-key rejection, grid
  *    grammar errors naming the offending token;
  *  - expansion: cross-product order and size, trace sharing across
- *    systems at a load, per-load seed derivation, rps_per_replica;
+ *    systems at a load, per-load seed derivation, rps_per_replica,
+ *    and a hash pin over every cell of the committed example sweeps;
  *  - determinism: the same sweep JSON + seed produces a byte-identical
  *    BenchJson document on repeated runs and at any thread count.
  */
@@ -12,10 +13,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "chameleon/spec_json.h"
+#include "chameleon/system.h"
 #include "simkit/json.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
@@ -310,6 +318,54 @@ TEST(SweepExpand, UnknownRouterFailsWithKnownList)
     EXPECT_FALSE(cells.has_value());
     EXPECT_NE(error.find("hash-ring"), std::string::npos) << error;
     EXPECT_NE(error.find("affinity"), std::string::npos) << error;
+}
+
+TEST(SweepExpansion, CellsArePinned)
+{
+    // Every cell of every committed example sweep, as (system, rps,
+    // trace index, trace seed, fleet, spec dump): a refactor of the
+    // expansion must reproduce each grid cell for cell.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"autoscale_step.json", 0xe05e01da1b734fe4ull},
+        {"ci_smoke.json", 0x99f997630a57c269ull},
+        {"fabric_smoke.json", 0x38c3ada351653d15ull},
+        {"fig17_policy_grid.json", 0x1826949c16563c43ull},
+        {"hetero_fleet.json", 0x0da467e9b7d9a257ull},
+        {"minimal.json", 0x1f29eb048e2938a5ull},
+        {"noisy_neighbour.json", 0xee9414d44c3dfd03ull},
+    };
+    std::set<std::string> seen;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(CHAMELEON_SWEEPS_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        const std::string file = entry.path().filename().string();
+        seen.insert(file);
+        std::ifstream in(entry.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        std::string error;
+        const auto spec = sweep::sweepFromJson(text.str(), &error);
+        ASSERT_TRUE(spec.has_value()) << file << ": " << error;
+        const auto cells = sweep::expandSweep(*spec, &error);
+        ASSERT_TRUE(cells.has_value()) << file << ": " << error;
+        std::string flat;
+        for (const auto &cell : *cells) {
+            char rps[32];
+            std::snprintf(rps, sizeof(rps), "%.17g", cell.rps);
+            flat += cell.system + '\n' + rps + '\n' +
+                    std::to_string(cell.traceIndex) + '\n' +
+                    std::to_string(cell.traceSeed) + '\n' + cell.fleet +
+                    '\n' + core::specToJson(cell.spec) + '\n';
+        }
+        const std::uint64_t hash = core::fnv1a64(flat);
+        const auto it = pinned.find(file);
+        EXPECT_TRUE(it != pinned.end() && it->second == hash)
+            << "cells of " << file << " changed or are not pinned: {\""
+            << file << "\", 0x" << std::hex << hash << "ull},";
+    }
+    EXPECT_EQ(seen.size(), pinned.size())
+        << "a pinned example sweep is missing";
 }
 
 // ---------------------------------------------------------------------
