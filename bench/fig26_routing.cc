@@ -72,10 +72,12 @@ main()
         const char *skewName = skewed ? "zipf" : "uniform";
         for (const auto &result : results) {
             const auto &cell = result.cell;
+            const auto &cluster = cell.spec.cluster;
+            const char *router = routing::routerPolicyName(cluster.router);
             const auto &report = result.report;
             std::printf(
                 "%-8s %9d %-15s %9lld %12.3f %12.3f %10lld %6.1f%%\n",
-                skewName, cell.replicaCount, cell.router.c_str(),
+                skewName, cluster.replicas, router,
                 static_cast<long long>(report.stats.finished),
                 report.stats.ttft.p50(), report.stats.ttft.p99(),
                 static_cast<long long>(report.pcieTransfers),
@@ -84,8 +86,8 @@ main()
                 .field("section", std::string("policy_sweep"))
                 .field("skew", std::string(skewName))
                 .field("replicas",
-                       static_cast<std::int64_t>(cell.replicaCount))
-                .field("router", cell.router)
+                       static_cast<std::int64_t>(cluster.replicas))
+                .field("router", router)
                 .field("rps", cell.rps)
                 .field("finished", report.stats.finished)
                 .field("p50_ttft_s", report.stats.ttft.p50())
@@ -124,17 +126,16 @@ main()
     sweep::SweepRunner autoscaleRunner(autoscaleGrid);
     for (const auto &result : autoscaleRunner.run()) {
         const auto &cell = result.cell;
+        const char *mode = cell.spec.cluster.autoscale ? "autoscale" : "fixed";
         const auto &report = result.report;
-        std::printf("%-10s %9d %9zu %9lld %9lld %12.3f\n",
-                    cell.autoscale ? "autoscale" : "fixed",
-                    cell.replicaCount, report.peakReplicas,
+        std::printf("%-10s %9d %9zu %9lld %9lld %12.3f\n", mode,
+                    cell.spec.cluster.replicas, report.peakReplicas,
                     static_cast<long long>(report.scaleUps),
                     static_cast<long long>(report.scaleDowns),
                     report.stats.ttft.p99());
         json.row()
             .field("section", std::string("autoscale"))
-            .field("mode",
-                   std::string(cell.autoscale ? "autoscale" : "fixed"))
+            .field("mode", mode)
             .field("rps", cell.rps)
             .field("finished", report.stats.finished)
             .field("p99_ttft_s", report.stats.ttft.p99())

@@ -90,7 +90,8 @@ main()
         const auto &cell = result.cell;
         const auto &report = result.report;
         std::printf("%-16s %-15s %9lld %12.3f %12.3f %6.1f%%  %s\n",
-                    cell.fleet.c_str(), cell.router.c_str(),
+                    cell.fleet.c_str(),
+                    routing::routerPolicyName(cell.spec.cluster.router),
                     static_cast<long long>(report.stats.finished),
                     report.stats.ttft.p50(), report.stats.ttft.p99(),
                     100.0 * report.cacheHitRate,

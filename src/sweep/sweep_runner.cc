@@ -112,23 +112,25 @@ SweepRunner::appendRows(BenchJson &json,
 {
     for (const auto &result : results) {
         const auto &cell = result.cell;
+        const auto &spec = cell.spec;
         const auto &report = result.report;
         const auto &s = report.stats;
         json.row()
             .field("system", cell.system)
             .field("rps", cell.rps)
-            .field("replicas", static_cast<std::int64_t>(cell.replicaCount))
+            .field("replicas",
+                   static_cast<std::int64_t>(spec.cluster.replicas))
             .field("fleet", cell.fleet)
-            .field("router", cell.router)
-            .field("autoscale", cell.autoscale)
-            .field("demand_source",
-                   std::string(routing::demandSourceName(
-                       cell.spec.cluster.autoscaler.demandSource)))
+            .field("router", routing::routerPolicyName(spec.cluster.router))
+            .field("autoscale", spec.cluster.autoscale)
+            .field("demand_source", routing::demandSourceName(
+                                        spec.cluster.autoscaler.demandSource))
             .field("boot_aware_horizon",
-                   cell.spec.cluster.autoscaler.bootAwareHorizon)
-            .field("slo_admission", cell.sloAdmission)
-            .field("migration", cell.migration)
-            .field("topology", cell.topology)
+                   spec.cluster.autoscaler.bootAwareHorizon)
+            .field("slo_admission", spec.cluster.routerConfig.sloAdmission)
+            .field("migration",
+                   fabric::migrationPolicyName(spec.fabric.migration))
+            .field("topology", fabric::topologyName(spec.fabric.topology))
             .field("trace_seed", cell.traceSeed)
             .field("submitted", s.submitted)
             .field("finished", s.finished)

@@ -1,5 +1,6 @@
 #include "sweep/sweep_spec.h"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -32,92 +33,76 @@ SweepSpec::outputPath() const
 
 namespace {
 
+/**
+ * Read the optional array `key` into `out`. `take` converts one item
+ * and returns nullptr, or the message the item fails with; `expects`
+ * is the message for a value that is not an array.
+ */
+template <typename T, typename Take>
 bool
-stringList(sim::JsonObjectReader &r, const std::string &key,
-           std::vector<std::string> *out, bool allowEmpty = true)
+listOf(sim::JsonObjectReader &r, const char *key, const char *expects,
+       Take take, std::vector<T> *out, bool allowEmpty = false)
 {
     const JsonValue *v = r.child(key);
     if (v == nullptr)
         return r.ok();
     if (!v->isArray())
-        return r.fail(key, "expects an array of strings");
+        return r.fail(key, expects);
     if (!allowEmpty && v->items().empty())
         return r.fail(key, "must not be an empty array (omit the key "
                            "to use the default)");
     out->clear();
     for (const auto &item : v->items()) {
-        if (!item.isString())
-            return r.fail(key, "expects an array of strings");
-        out->push_back(item.asString());
+        T value{};
+        if (const char *problem = take(item, &value))
+            return r.fail(key, problem);
+        out->push_back(value);
     }
     return true;
 }
 
-bool
-doubleList(sim::JsonObjectReader &r, const std::string &key,
-           std::vector<double> *out)
+constexpr const char *kStrings = "expects an array of strings";
+constexpr const char *kNumbers = "expects an array of numbers";
+constexpr const char *kIntegers = "expects an array of integers";
+constexpr const char *kBooleans = "expects an array of booleans";
+
+const char *
+takeString(const JsonValue &item, std::string *out)
 {
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, "expects an array of numbers");
-    if (v->items().empty())
-        return r.fail(key, "must not be an empty array (omit the key "
-                           "to use the default)");
-    out->clear();
-    for (const auto &item : v->items()) {
-        if (!item.isNumber())
-            return r.fail(key, "expects an array of numbers");
-        out->push_back(item.asNumber());
-    }
-    return true;
+    if (!item.isString())
+        return kStrings;
+    *out = item.asString();
+    return nullptr;
 }
 
-bool
-intList(sim::JsonObjectReader &r, const std::string &key,
-        std::vector<int> *out)
+const char *
+takeNumber(const JsonValue &item, double *out)
 {
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, "expects an array of integers");
-    if (v->items().empty())
-        return r.fail(key, "must not be an empty array (omit the key "
-                           "to use the default)");
-    out->clear();
-    for (const auto &item : v->items()) {
-        if (!item.isNumber() || !item.isIntegral() ||
-            item.isUnsignedIntegral())
-            return r.fail(key, "expects an array of integers");
-        if (item.asInt() < std::numeric_limits<int>::min() ||
-            item.asInt() > std::numeric_limits<int>::max())
-            return r.fail(key, "has an entry out of 32-bit range");
-        out->push_back(static_cast<int>(item.asInt()));
-    }
-    return true;
+    if (!item.isNumber())
+        return kNumbers;
+    *out = item.asNumber();
+    return nullptr;
 }
 
-bool
-boolList(sim::JsonObjectReader &r, const std::string &key,
-         std::vector<bool> *out)
+const char *
+takeInt(const JsonValue &item, int *out)
 {
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, "expects an array of booleans");
-    if (v->items().empty())
-        return r.fail(key, "must not be an empty array (omit the key "
-                           "to use the default)");
-    out->clear();
-    for (const auto &item : v->items()) {
-        if (!item.isBool())
-            return r.fail(key, "expects an array of booleans");
-        out->push_back(item.asBool());
-    }
-    return true;
+    if (!item.isNumber() || !item.isIntegral() || item.isUnsignedIntegral())
+        return kIntegers;
+    if (item.asInt() < std::numeric_limits<int>::min() ||
+        item.asInt() > std::numeric_limits<int>::max())
+        return "has an entry out of 32-bit range";
+    *out = static_cast<int>(item.asInt());
+    return nullptr;
+}
+
+const char *
+takeBool(const JsonValue &item, bool *out)
+{
+    if (!item.isBool())
+        return kBooleans;
+    *out = item.asBool();
+    return nullptr;
 }
 
 bool
@@ -155,11 +140,11 @@ workloadFromJson(const JsonValue &v, SweepWorkload *out,
                       "needs \"tenants\" >= 2; a storm is one tenant "
                       "bursting against the others");
     }
-    if (out->preset != "splitwise" && out->preset != "wildchat" &&
-        out->preset != "lmsys") {
+    workload::TracePreset preset;
+    if (!sim::enumByName(out->preset, &preset)) {
         return r.fail("preset", "unknown value \"" + out->preset +
-                                    "\"; known: splitwise, wildchat, "
-                                    "lmsys");
+                                    "\"; known: " +
+                                    sim::enumNames<workload::TracePreset>());
     }
     if (!out->adapterPopularity.empty() &&
         out->adapterPopularity != "uniform" &&
@@ -205,15 +190,17 @@ gridFromJson(const JsonValue &v, SweepSpec *out, std::string *error)
     return true;
 }
 
-/** Resolve an axis of enum names through the enum's name table; an
- * unknown name fails naming the axis and listing the valid options. */
+/** Resolve an axis of enum names through the enum's name table (an
+ * empty axis is `fallback` alone); an unknown name fails naming the
+ * axis and listing the valid options. */
 template <typename Enum>
 bool
-resolveNames(const std::vector<std::string> &names, const char *axis,
-             const char *noun,
-             std::vector<std::pair<std::string, Enum>> *out,
+resolveNames(const std::vector<std::string> &names, Enum fallback,
+             const char *axis, const char *noun, std::vector<Enum> *out,
              std::string *error)
 {
+    if (names.empty())
+        out->push_back(fallback);
     for (const auto &name : names) {
         Enum value{};
         if (!sim::enumByName(name, &value)) {
@@ -223,9 +210,17 @@ resolveNames(const std::vector<std::string> &names, const char *axis,
                          "\"; known: " + sim::enumNames<Enum>();
             return false;
         }
-        out->emplace_back(name, value);
+        out->push_back(value);
     }
     return true;
+}
+
+/** The axis values, or the one-value default when the axis is unset. */
+template <typename T>
+std::vector<T>
+orDefault(const std::vector<T> &axis, T fallback)
+{
+    return axis.empty() ? std::vector<T>{fallback} : axis;
 }
 
 } // namespace
@@ -251,31 +246,26 @@ sweepFromJson(const std::string &text, std::string *error)
 
     sim::JsonObjectReader r(*doc, "", error);
     r.getString("name", &spec.name);
-    stringList(r, "systems", &spec.systems);
+    listOf(r, "systems", kStrings, takeString, &spec.systems,
+           /*allowEmpty=*/true);
     if (const JsonValue *g = r.child("grid")) {
         if (!gridFromJson(*g, &spec, error))
             return failure();
     }
-    doubleList(r, "loads", &spec.loads);
+    listOf(r, "loads", kNumbers, takeNumber, &spec.loads);
     r.getBool("rps_per_replica", &spec.rpsPerReplica);
-    intList(r, "replicas", &spec.replicas);
-    stringList(r, "fleets", &spec.fleets,
-               /*allowEmpty=*/false);
-    stringList(r, "routers", &spec.routers,
-               /*allowEmpty=*/false);
-    if (!boolList(r, "autoscale", &spec.autoscale))
-        return failure();
+    listOf(r, "replicas", kIntegers, takeInt, &spec.replicas);
+    listOf(r, "fleets", kStrings, takeString, &spec.fleets);
+    listOf(r, "routers", kStrings, takeString, &spec.routers);
+    listOf(r, "autoscale", kBooleans, takeBool, &spec.autoscale);
     if (const JsonValue *a = r.child("autoscaler")) {
         if (!core::autoscalerFromJson(*a, "autoscaler", &spec.autoscaler,
                                       error))
             return failure();
     }
-    if (!boolList(r, "slo_admission", &spec.sloAdmission))
-        return failure();
-    stringList(r, "migrations", &spec.migrations,
-               /*allowEmpty=*/false);
-    stringList(r, "topologies", &spec.topologies,
-               /*allowEmpty=*/false);
+    listOf(r, "slo_admission", kBooleans, takeBool, &spec.sloAdmission);
+    listOf(r, "migrations", kStrings, takeString, &spec.migrations);
+    listOf(r, "topologies", kStrings, takeString, &spec.topologies);
     if (const JsonValue *f = r.child("fabric")) {
         if (!core::fabricFromJson(*f, "fabric", &spec.fabric, error))
             return failure();
@@ -343,13 +333,10 @@ sweepFromJson(const std::string &text, std::string *error)
 workload::TraceGenConfig
 cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
 {
-    workload::TraceGenConfig wl;
-    if (spec.workload.preset == "wildchat")
-        wl = workload::wildchatLike();
-    else if (spec.workload.preset == "lmsys")
-        wl = workload::lmsysLike();
-    else
-        wl = workload::splitwiseLike();
+    // An unknown preset (possible only from C++) keeps splitwise.
+    workload::TracePreset preset = workload::TracePreset::Splitwise;
+    sim::enumByName(spec.workload.preset, &preset);
+    workload::TraceGenConfig wl = workload::presetConfig(preset);
     wl.rps = rps;
     wl.durationSeconds = spec.workload.durationSeconds;
     wl.numAdapters = spec.workload.adapters;
@@ -364,14 +351,7 @@ cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
     if (spec.workload.burstDurationSeconds.has_value())
         wl.burstDurationSeconds = *spec.workload.burstDurationSeconds;
     wl.numTenants = spec.workload.tenants;
-    if (spec.workload.tenantStorm > 1.0) {
-        // The noisy neighbour: tenant 0 bursts for the middle half of
-        // the trace, leaving clean head/tail windows for comparison.
-        wl.stormTenant = 0;
-        wl.stormMultiplier = spec.workload.tenantStorm;
-        wl.stormStartSeconds = 0.25 * wl.durationSeconds;
-        wl.stormEndSeconds = 0.75 * wl.durationSeconds;
-    }
+    workload::applyTenantStorm(&wl, spec.workload.tenantStorm);
     wl.seed = traceSeed;
     return wl;
 }
@@ -379,11 +359,18 @@ cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
 std::optional<std::vector<SweepCell>>
 expandSweep(const SweepSpec &spec, std::string *error)
 {
-    const auto &registry = core::SystemRegistry::global();
+    auto fail = [error](const std::string &message) {
+        if (error != nullptr)
+            *error = message;
+        return std::nullopt;
+    };
 
+    // Resolve every axis before building any cell, so a bad name fails
+    // once, naming its axis, rather than per cell.
+    //
     // The system axis: explicit names first, then the grid product in
     // row-major order (later axes vary fastest).
-    std::vector<std::string> systems = spec.systems;
+    std::vector<std::string> names = spec.systems;
     if (!spec.gridBase.empty()) {
         std::vector<std::string> combos{spec.gridBase};
         for (const auto &axis : spec.gridAxes) {
@@ -395,183 +382,138 @@ expandSweep(const SweepSpec &spec, std::string *error)
             }
             combos = std::move(next);
         }
-        systems.insert(systems.end(), combos.begin(), combos.end());
+        names.insert(names.end(), combos.begin(), combos.end());
+    }
+    std::vector<core::SystemSpec> systems;
+    for (const auto &name : names) {
+        std::string lookupError;
+        auto found = core::SystemRegistry::global().find(name, &lookupError);
+        if (!found.has_value())
+            return fail("sweep system \"" + name + "\": " + lookupError);
+        systems.push_back(std::move(*found));
     }
 
-    const std::vector<double> loads =
-        spec.loads.empty() ? std::vector<double>{8.0} : spec.loads;
-    const std::vector<std::string> routerAxis =
-        spec.routers.empty() ? std::vector<std::string>{"jsq"}
-                             : spec.routers;
-    const std::vector<bool> autoscaleAxis =
-        spec.autoscale.empty() ? std::vector<bool>{false}
-                               : spec.autoscale;
-    const std::vector<bool> sloAdmissionAxis =
-        spec.sloAdmission.empty() ? std::vector<bool>{false}
-                                  : spec.sloAdmission;
-
-    // The fabric axes: migration policies and peer topologies, each
-    // resolved through its name table up front so an unknown name
-    // fails once with the valid options, not per cell.
-    std::vector<std::pair<std::string, fabric::MigrationPolicy>>
-        migrationAxis;
-    std::vector<std::pair<std::string, fabric::TopologyKind>> topologyAxis;
-    if (!resolveNames(spec.migrations.empty()
-                          ? std::vector<std::string>{"off"}
-                          : spec.migrations,
-                      "migrations", "policy", &migrationAxis, error) ||
-        !resolveNames(spec.topologies.empty()
-                          ? std::vector<std::string>{"pcie"}
-                          : spec.topologies,
-                      "topologies", "topology", &topologyAxis, error))
-        return std::nullopt;
+    const std::vector<double> loads = orDefault(spec.loads, 8.0);
 
     // The deployment axis: either homogeneous replica counts or
-    // heterogeneous fleet presets (mutually exclusive — a fleet
-    // already fixes each cell's replica count and GPU mix).
+    // heterogeneous fleet presets (sweepFromJson rejects both at once;
+    // a fleet already fixes each cell's replica count and GPU mix).
     struct Deployment
     {
         int replicas = 1;
         std::string fleet;
         std::vector<serving::EngineConfig> engines;
     };
-    std::vector<Deployment> deployAxis;
-    if (!spec.fleets.empty()) {
-        if (!spec.replicas.empty()) {
-            if (error != nullptr)
-                *error = "sweep fleets: conflicts with the \"replicas\" "
-                         "axis; a fleet preset already fixes each "
-                         "cell's replica count";
-            return std::nullopt;
+    std::vector<Deployment> deployments;
+    for (const auto &name : spec.fleets) {
+        std::vector<model::GpuSpec> gpus;
+        if (!model::tryFleetByName(name, &gpus)) {
+            return fail("sweep fleets: unknown fleet preset \"" + name +
+                        "\"; expected " + model::fleetGrammarHelp());
         }
-        for (const auto &name : spec.fleets) {
-            std::vector<model::GpuSpec> gpus;
-            if (!model::tryFleetByName(name, &gpus)) {
-                if (error != nullptr)
-                    *error = "sweep fleets: unknown fleet preset \"" +
-                             name + "\"; expected " +
-                             model::fleetGrammarHelp();
-                return std::nullopt;
-            }
-            Deployment deployment;
-            deployment.replicas = static_cast<int>(gpus.size());
-            deployment.fleet = name;
-            deployment.engines = serving::fleetEngines(spec.engine, gpus);
-            deployAxis.push_back(std::move(deployment));
-        }
-    } else {
-        const std::vector<int> replicaAxis =
-            spec.replicas.empty() ? std::vector<int>{1} : spec.replicas;
-        for (const int count : replicaAxis)
-            deployAxis.push_back(Deployment{count, "", {}});
+        deployments.push_back({static_cast<int>(gpus.size()), name,
+                               serving::fleetEngines(spec.engine, gpus)});
+    }
+    if (spec.fleets.empty()) {
+        for (const int count : orDefault(spec.replicas, 1))
+            deployments.push_back({count, "", {}});
     }
 
+    std::vector<routing::RouterPolicy> routers;
+    std::vector<fabric::MigrationPolicy> migrations;
+    std::vector<fabric::TopologyKind> topologies;
+    if (!resolveNames(spec.routers, routing::RouterPolicy::JoinShortestQueue,
+                      "routers", "policy", &routers, error) ||
+        !resolveNames(spec.migrations, fabric::MigrationPolicy::Off,
+                      "migrations", "policy", &migrations, error) ||
+        !resolveNames(spec.topologies, fabric::TopologyKind::PciePeer,
+                      "topologies", "topology", &topologies, error))
+        return std::nullopt;
+    const std::vector<bool> autoscales = orDefault(spec.autoscale, false);
+    const std::vector<bool> sloAdmissions =
+        orDefault(spec.sloAdmission, false);
+
+    // One walk over the product: the flat index, decomposed mixed-radix,
+    // gives each axis its value; the system axis varies slowest and the
+    // topology axis fastest.
+    enum Axis
+    {
+        kSystem, kLoad, kDeployment, kRouter, kAutoscale, kSloAdmission,
+        kMigration, kTopology, kAxes
+    };
+    const std::size_t radix[kAxes] = {
+        systems.size(),    loads.size(),      deployments.size(),
+        routers.size(),    autoscales.size(), sloAdmissions.size(),
+        migrations.size(), topologies.size()};
+    std::size_t cellCount = 1;
+    for (const std::size_t n : radix)
+        cellCount *= n;
+
     std::vector<SweepCell> cells;
+    cells.reserve(cellCount);
     // Cells at the same load (and replica count, when rps_per_replica
     // scales the trace) share one trace so systems compare on identical
     // arrivals; key -> index into the runner's trace table.
     std::vector<std::pair<double, std::uint64_t>> traceKeys;
-    for (const auto &system : systems) {
-        std::string lookupError;
-        const auto base = registry.find(system, &lookupError);
-        if (!base.has_value()) {
-            if (error != nullptr)
-                *error = "sweep system \"" + system +
-                         "\": " + lookupError;
-            return std::nullopt;
+    for (std::size_t flat = 0; flat < cellCount; ++flat) {
+        std::size_t at[kAxes];
+        for (std::size_t axis = kAxes, rest = flat; axis-- > 0;) {
+            at[axis] = rest % radix[axis];
+            rest /= radix[axis];
         }
-        for (std::size_t li = 0; li < loads.size(); ++li) {
-            for (const Deployment &deployment : deployAxis) {
-                const int replicaCount = deployment.replicas;
-                for (const auto &router : routerAxis) {
-                  for (const bool autoscale : autoscaleAxis) {
-                   for (const bool sloAdmission : sloAdmissionAxis) {
-                   for (const auto &migration : migrationAxis) {
-                    for (const auto &topology : topologyAxis) {
-                    SweepCell cell;
-                    cell.system = system;
-                    cell.replicaCount = replicaCount;
-                    cell.fleet = deployment.fleet;
-                    cell.router = router;
-                    cell.autoscale = autoscale;
-                    cell.sloAdmission = sloAdmission;
-                    cell.migration = migration.first;
-                    cell.topology = topology.first;
-                    cell.rps = spec.rpsPerReplica
-                                   ? loads[li] * replicaCount
-                                   : loads[li];
-                    cell.traceSeed =
-                        spec.seed + static_cast<std::uint64_t>(li);
+        const Deployment &deployment = deployments[at[kDeployment]];
 
-                    cell.spec = *base;
-                    cell.spec.engine = spec.engine;
-                    cell.spec.predictor = spec.predictor;
-                    cell.spec.tenancy.tenants = spec.workload.tenants;
-                    cell.spec.cluster.replicas = replicaCount;
-                    cell.spec.cluster.replicaEngines =
-                        deployment.engines;
-                    if (!routing::routerPolicyByName(
-                            router, &cell.spec.cluster.router)) {
-                        if (error != nullptr)
-                            *error = "sweep routers: unknown policy \"" +
-                                     router + "\"; known: " +
-                                     routing::routerPolicyNames();
-                        return std::nullopt;
-                    }
-                    cell.spec.cluster.routerConfig.seed = spec.seed;
-                    cell.spec.cluster.routerConfig.sloAdmission =
-                        sloAdmission;
-                    cell.spec.cluster.autoscale = autoscale;
-                    if (autoscale)
-                        cell.spec.cluster.autoscaler = spec.autoscaler;
-                    cell.spec.fabric = spec.fabric;
-                    cell.spec.fabric.migration = migration.second;
-                    cell.spec.fabric.topology = topology.second;
+        SweepCell cell;
+        cell.system = names[at[kSystem]];
+        cell.fleet = deployment.fleet;
+        cell.rps = spec.rpsPerReplica ? loads[at[kLoad]] * deployment.replicas
+                                      : loads[at[kLoad]];
+        cell.traceSeed = spec.seed + static_cast<std::uint64_t>(at[kLoad]);
 
-                    const auto problems = cell.spec.validate();
-                    if (!problems.empty()) {
-                        if (error != nullptr) {
-                            std::ostringstream os;
-                            os << "sweep cell \"" << system << "\" (rps "
-                               << cell.rps << ", replicas "
-                               << replicaCount;
-                            if (!cell.fleet.empty())
-                                os << ", fleet " << cell.fleet;
-                            os << ", router " << router;
-                            if (autoscale)
-                                os << ", autoscale";
-                            if (sloAdmission)
-                                os << ", slo-admission";
-                            if (cell.migration != "off")
-                                os << ", migration " << cell.migration;
-                            os << ") is invalid:";
-                            for (const auto &p : problems)
-                                os << "\n  - " << p;
-                            *error = os.str();
-                        }
-                        return std::nullopt;
-                    }
+        core::SystemSpec &s = cell.spec;
+        s = systems[at[kSystem]];
+        s.engine = spec.engine;
+        s.predictor = spec.predictor;
+        s.tenancy.tenants = spec.workload.tenants;
+        s.cluster.replicas = deployment.replicas;
+        s.cluster.replicaEngines = deployment.engines;
+        s.cluster.router = routers[at[kRouter]];
+        s.cluster.routerConfig.seed = spec.seed;
+        s.cluster.routerConfig.sloAdmission = sloAdmissions[at[kSloAdmission]];
+        s.cluster.autoscale = autoscales[at[kAutoscale]];
+        if (s.cluster.autoscale)
+            s.cluster.autoscaler = spec.autoscaler;
+        s.fabric = spec.fabric;
+        s.fabric.migration = migrations[at[kMigration]];
+        s.fabric.topology = topologies[at[kTopology]];
 
-                    const std::pair<double, std::uint64_t> key{
-                        cell.rps, cell.traceSeed};
-                    std::size_t index = traceKeys.size();
-                    for (std::size_t i = 0; i < traceKeys.size(); ++i) {
-                        if (traceKeys[i] == key) {
-                            index = i;
-                            break;
-                        }
-                    }
-                    if (index == traceKeys.size())
-                        traceKeys.push_back(key);
-                    cell.traceIndex = index;
-                    cells.push_back(std::move(cell));
-                    }
-                   }
-                   }
-                  }
-                }
-            }
+        const auto problems = s.validate();
+        if (!problems.empty()) {
+            std::ostringstream os;
+            os << "sweep cell \"" << cell.system << "\" (rps " << cell.rps
+               << ", replicas " << s.cluster.replicas;
+            if (!cell.fleet.empty())
+                os << ", fleet " << cell.fleet;
+            os << ", router " << routing::routerPolicyName(s.cluster.router);
+            if (s.cluster.autoscale)
+                os << ", autoscale";
+            if (s.cluster.routerConfig.sloAdmission)
+                os << ", slo-admission";
+            if (s.fabric.migration != fabric::MigrationPolicy::Off)
+                os << ", migration "
+                   << fabric::migrationPolicyName(s.fabric.migration);
+            os << ") is invalid:";
+            for (const auto &p : problems)
+                os << "\n  - " << p;
+            return fail(os.str());
         }
+
+        const std::pair<double, std::uint64_t> key{cell.rps, cell.traceSeed};
+        const auto it = std::find(traceKeys.begin(), traceKeys.end(), key);
+        cell.traceIndex = static_cast<std::size_t>(it - traceKeys.begin());
+        if (it == traceKeys.end())
+            traceKeys.push_back(key);
+        cells.push_back(std::move(cell));
     }
     return cells;
 }

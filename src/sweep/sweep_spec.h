@@ -7,9 +7,10 @@
  * registry system names, and/or a cross-product built from a base
  * system and axes of registry modifier tokens (the same `base+mod`
  * grammar the CLI accepts), crossed with load (rps), replica-count
- * (or heterogeneous fleet-preset), and router axes. expandSweep()
- * resolves it into concrete SweepCells
- * — one fully validated core::SystemSpec per grid cell — which the
+ * (or heterogeneous fleet-preset), router, autoscale, SLO-admission,
+ * migration and topology axes. expandSweep() resolves it into concrete
+ * SweepCells — one fully validated core::SystemSpec per grid cell,
+ * which is the cell's only record of its axis values — which the
  * SweepRunner (sweep_runner.h) executes into one consolidated
  * BenchJson.
  *
@@ -164,23 +165,18 @@ struct SweepSpec
     std::string outputPath() const;
 };
 
-/** One concrete grid cell with its fully resolved system spec. */
+/**
+ * One concrete grid cell. Its `spec` is the only record of the
+ * deployment, router, autoscale, SLO-admission, migration and
+ * topology axis values; the fields beside it are what the spec does
+ * not hold.
+ */
 struct SweepCell
 {
     std::string system;
     double rps = 0.0;
-    int replicaCount = 1;
     /** Fleet-preset name of the cell ("" on homogeneous sweeps). */
     std::string fleet;
-    std::string router;
-    /** Autoscale-axis value of the cell. */
-    bool autoscale = false;
-    /** SLO-admission-axis value of the cell. */
-    bool sloAdmission = false;
-    /** Migration-axis value of the cell ("off" on non-fabric sweeps). */
-    std::string migration = "off";
-    /** Topology-axis value of the cell. */
-    std::string topology = "pcie";
     /** Index of the shared trace this cell runs (SweepRunner). */
     std::size_t traceIndex = 0;
     /** Seed the cell's trace is generated with. */
@@ -198,10 +194,12 @@ std::optional<SweepSpec> sweepFromJson(const std::string &text,
 
 /**
  * Expand the spec into concrete cells: (systems + grid cross-product)
- * x loads x replicas x routers x autoscale, in that nesting order
- * (system outermost). Resolves every system name through the global
- * registry and validates every cell spec; returns std::nullopt with an
- * actionable message naming the offending cell on failure.
+ * x loads x replicas (or fleets) x routers x autoscale x slo_admission
+ * x migrations x topologies, in that order (system slowest, topology
+ * fastest). Resolves every system name through the global registry
+ * and every axis name through its table, then validates every cell
+ * spec; returns std::nullopt with an actionable message naming the
+ * offending axis or cell on failure.
  */
 std::optional<std::vector<SweepCell>> expandSweep(
     const SweepSpec &spec, std::string *error = nullptr);

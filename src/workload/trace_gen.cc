@@ -51,6 +51,36 @@ lmsysLike()
     return cfg;
 }
 
+sim::EnumTable<TracePreset>
+enumTable(TracePreset)
+{
+    static constexpr sim::EnumName<TracePreset> kNames[] = {
+        {TracePreset::Splitwise, "splitwise"},
+        {TracePreset::Wildchat, "wildchat"},
+        {TracePreset::Lmsys, "lmsys"},
+    };
+    return kNames;
+}
+
+TraceGenConfig
+presetConfig(TracePreset preset)
+{
+    return preset == TracePreset::Wildchat ? wildchatLike()
+           : preset == TracePreset::Lmsys  ? lmsysLike()
+                                           : splitwiseLike();
+}
+
+void
+applyTenantStorm(TraceGenConfig *config, double multiplier)
+{
+    if (multiplier <= 1.0)
+        return;
+    config->stormTenant = 0;
+    config->stormMultiplier = multiplier;
+    config->stormStartSeconds = 0.25 * config->durationSeconds;
+    config->stormEndSeconds = 0.75 * config->durationSeconds;
+}
+
 TraceGenerator::TraceGenerator(TraceGenConfig config,
                                const model::AdapterPool *pool)
     : config_(std::move(config)), pool_(pool)

@@ -22,6 +22,7 @@
 
 #include "model/adapter.h"
 #include "simkit/distributions.h"
+#include "simkit/enum_table.h"
 #include "simkit/rng.h"
 #include "workload/trace.h"
 
@@ -114,6 +115,28 @@ TraceGenConfig splitwiseLike();
 TraceGenConfig wildchatLike();
 /** LMSYS-Chat-1M-like workload: short inputs, short outputs (§5.4.4). */
 TraceGenConfig lmsysLike();
+
+/** The named workload presets: the three functions above. */
+enum class TracePreset
+{
+    Splitwise,
+    Wildchat,
+    Lmsys,
+};
+
+/** Name table (simkit/enum_table.h): splitwise | wildchat | lmsys. */
+sim::EnumTable<TracePreset> enumTable(TracePreset);
+
+/** The preset's generator configuration. */
+TraceGenConfig presetConfig(TracePreset preset);
+
+/**
+ * The noisy-neighbour convention shared by the CLI, the sweep and
+ * fig29: tenant 0 bursts to `multiplier` x its share over the middle
+ * half of the trace, leaving clean head/tail windows for comparison.
+ * Reads config->durationSeconds; multiplier <= 1 leaves it untouched.
+ */
+void applyTenantStorm(TraceGenConfig *config, double multiplier);
 
 /** Generates traces and assigns adapters per the configuration. */
 class TraceGenerator

@@ -127,6 +127,36 @@ TEST(CliBoundary, RejectsCountsBeyondInt)
     expectUsageError("--tenants 3000000000 --duration 5", "--tenants");
 }
 
+TEST(CliBoundary, RejectsAutoscaleBoundsOutsideInt)
+{
+    // Negative bounds would wrap to ~2^64 replicas in the size_t spec
+    // fields; the usage check stops them before any engine is built.
+    expectUsageError("--autoscale --min-replicas -3 --max-replicas -1 "
+                     "--dump-config",
+                     "--min-replicas");
+    expectUsageError("--autoscale --max-replicas -1 --dump-config",
+                     "--max-replicas");
+    expectUsageError("--autoscale --max-replicas 3000000000 --dump-config",
+                     "--max-replicas");
+}
+
+TEST(CliBoundary, ClusterFlagsAtTheirDefaultsStillNeedTheirSwitch)
+{
+    // Given explicitly, a flag is a request, even at its default value.
+    expectUsageError("--max-replicas 8 --dump-config",
+                     "--max-replicas requires --autoscale");
+    expectUsageError("--autoscale-up-policy default --dump-config",
+                     "--autoscale-up-policy requires --autoscale");
+    expectUsageError("--router jsq --dump-config",
+                     "--router requires --replicas > 1 or --autoscale");
+    expectUsageError("--replicas 2 --topology pcie --dump-config",
+                     "--topology requires --migration");
+    expectUsageError("--replicas 2 --fabric-top-k 4 --dump-config",
+                     "--fabric-top-k requires --migration");
+    // Left out, the defaults still compose a valid single-engine run.
+    EXPECT_EQ(runSim("--dump-config").exitCode, 0);
+}
+
 TEST(CliBoundary, RejectsMissingTraceFile)
 {
     expectUsageError("--trace /nonexistent/trace.csv", "--trace");

@@ -144,10 +144,10 @@ TEST(SweepJson, AutoscaleAxisAndTemplateLoadAndExpand)
     ASSERT_TRUE(cells.has_value()) << error;
     ASSERT_EQ(cells->size(), 2u);
     // Off-cell: a fixed cluster untouched by the autoscaler template.
-    EXPECT_FALSE((*cells)[0].autoscale);
     EXPECT_FALSE((*cells)[0].spec.cluster.autoscale);
+    EXPECT_EQ((*cells)[0].spec.cluster.autoscaler,
+              routing::AutoscalerConfig{});
     // On-cell: autoscaling with the template stamped in.
-    EXPECT_TRUE((*cells)[1].autoscale);
     EXPECT_TRUE((*cells)[1].spec.cluster.autoscale);
     EXPECT_EQ((*cells)[1].spec.cluster.autoscaler, spec.autoscaler);
     // Both cells share the trace: identical arrivals, on/off compared.
@@ -252,16 +252,18 @@ TEST(SweepExpand, FleetAxisDeploysHeterogeneousCells)
     ASSERT_EQ(cells->size(), 4u);
     // The fleet axis sits where replicas would (routers innermost).
     EXPECT_EQ((*cells)[0].fleet, "a40x2");
-    EXPECT_EQ((*cells)[0].router, "jsq");
-    EXPECT_EQ((*cells)[1].router, "p2c");
+    EXPECT_EQ((*cells)[0].spec.cluster.router,
+              routing::RouterPolicy::JoinShortestQueue);
+    EXPECT_EQ((*cells)[1].spec.cluster.router,
+              routing::RouterPolicy::PowerOfTwoChoices);
     EXPECT_EQ((*cells)[2].fleet, "a100x1+a40x1");
     // Each cell's replica count and per-replica engines come from its
     // fleet preset, applied onto the sweep's engine template.
-    EXPECT_EQ((*cells)[0].replicaCount, 2);
+    EXPECT_EQ((*cells)[0].spec.cluster.replicas, 2);
     ASSERT_EQ((*cells)[0].spec.cluster.replicaEngines.size(), 2u);
     EXPECT_EQ((*cells)[0].spec.cluster.replicaEngines[0].gpu.name,
               "a40-48g");
-    EXPECT_EQ((*cells)[2].replicaCount, 2);
+    EXPECT_EQ((*cells)[2].spec.cluster.replicas, 2);
     EXPECT_EQ((*cells)[2].spec.cluster.replicaEngines[0].gpu.name,
               "a100-80g");
     EXPECT_EQ((*cells)[2].spec.cluster.replicaEngines[1].gpu.name,
@@ -442,6 +444,31 @@ TEST(SweepRunner, ThreadStressAt100kRequestsKeepsHashesAndBytes)
     }
     EXPECT_GE(submitted, 100000) << "grid shrank below 100k-request "
                                     "scale; enlarge the stress sweep";
+}
+
+TEST(SweepRunner, RowsPrintCanonicalAxisNames)
+{
+    // The columns read the cell spec, so an alias in the sweep prints
+    // as the name table's canonical spelling.
+    const auto spec = parseSweep(R"({
+      "systems": ["chameleon"],
+      "replicas": [2],
+      "routers": ["round-robin"],
+      "migrations": ["all"],
+      "topologies": ["pcie-peer"],
+      "workload": {"duration_s": 10, "adapters": 8}
+    })");
+    sweep::SweepRunner runner(spec);
+    const auto doc = sim::parseJson(runner.runToBenchJson().toString());
+    ASSERT_TRUE(doc.has_value());
+    const sim::JsonValue *rows = doc->find("rows");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_EQ(rows->items().size(), 1u);
+    const sim::JsonValue &row = rows->items()[0];
+    EXPECT_EQ(row.find("router")->asString(), "rr");
+    EXPECT_EQ(row.find("topology")->asString(), "pcie");
+    EXPECT_EQ(row.find("migration")->asString(), "all");
+    EXPECT_EQ(row.find("replicas")->asNumber(), 2.0);
 }
 
 TEST(SweepRunner, RunsEveryCellOverTheSharedTrace)

@@ -56,7 +56,6 @@
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "routing/router.h"
-#include "serving/slo.h"
 #include "simkit/enum_table.h"
 #include "simkit/flags.h"
 #include "simkit/log.h"
@@ -373,6 +372,12 @@ main(int argc, char **argv)
         parseEnumFlag("router", *router, &spec.cluster.router);
         spec.cluster.routerConfig.seed = static_cast<std::uint64_t>(*seed);
         spec.cluster.autoscale = *autoscale;
+        // A negative bound would wrap to ~2^64 replicas in the size_t
+        // spec fields and pass validate().
+        require(*min_replicas >= 1 && *min_replicas <= kMaxInt,
+                "--min-replicas must be within [1, 2^31)");
+        require(*max_replicas >= 1 && *max_replicas <= kMaxInt,
+                "--max-replicas must be within [1, 2^31)");
         spec.cluster.autoscaler.minReplicas =
             static_cast<std::size_t>(*min_replicas);
         spec.cluster.autoscaler.maxReplicas =
@@ -391,25 +396,24 @@ main(int argc, char **argv)
         require(*fabric_top_k >= 1, "--fabric-top-k must be >= 1");
         spec.fabric.topK = static_cast<std::size_t>(*fabric_top_k);
         // Cluster-only flags silently doing nothing would misread as a
-        // valid run of the requested policy.
+        // valid run of the requested policy, even at their defaults.
         require(spec.cluster.replicas > 1 || spec.cluster.autoscale ||
-                    *router == "jsq",
+                    !flagGiven(argc, argv, "router"),
                 "--router requires --replicas > 1 or --autoscale");
-        require(spec.cluster.autoscale ||
-                    (*min_replicas == 1 && *max_replicas == 8 &&
-                     *replica_rps == 8.0 && *boot_ms == 0.0 &&
-                     *up_policy == "default" && *measured_alpha == 0.0 &&
-                     *demand_source == "nominal" && !*boot_horizon),
-                "--min-replicas/--max-replicas/--replica-rps/"
-                "--autoscale-boot-ms/--autoscale-up-policy/"
-                "--autoscale-alpha/--autoscale-demand-source/"
-                "--autoscale-boot-horizon require --autoscale");
+        for (const char *flag :
+             {"min-replicas", "max-replicas", "replica-rps",
+              "autoscale-boot-ms", "autoscale-up-policy", "autoscale-alpha",
+              "autoscale-demand-source", "autoscale-boot-horizon"}) {
+            require(spec.cluster.autoscale || !flagGiven(argc, argv, flag),
+                    std::string("--") + flag + " requires --autoscale");
+        }
         require(spec.fabric.migration == fabric::MigrationPolicy::Off ||
                     spec.cluster.replicas > 1 || spec.cluster.autoscale,
                 "--migration needs peers: --replicas > 1 or --autoscale");
-        require(spec.fabric.enabled() ||
-                    (*topology == "pcie" && *fabric_top_k == 4),
-                "--topology/--fabric-top-k require --migration");
+        for (const char *flag : {"topology", "fabric-top-k"}) {
+            require(spec.fabric.enabled() || !flagGiven(argc, argv, flag),
+                    std::string("--") + flag + " requires --migration");
+        }
         // Whatever the flags composed must also be a valid spec; its
         // messages name the spec field each flag set.
         const auto problems = spec.validate();
@@ -431,14 +435,12 @@ main(int argc, char **argv)
             "--slo-multiplier must be >= 0 (0 disables SLO reporting)");
     require(*adapters >= 0 && *adapters <= kMaxInt,
             "--adapters must be within [0, 2^31) (0 = base only)");
+    workload::TracePreset preset{};
     if (trace_in->empty()) {
         // Only a generated trace reads these.
         require(*rps > 0.0, "--rps must be > 0");
         require(*duration > 0.0, "--duration must be > 0");
-        require(*workload_name == "splitwise" ||
-                    *workload_name == "wildchat" || *workload_name == "lmsys",
-                "unknown --workload '" + *workload_name +
-                    "'; known: splitwise, wildchat, lmsys");
+        parseEnumFlag("workload", *workload_name, &preset);
     }
 
     if (*dump_config) {
@@ -467,24 +469,13 @@ main(int argc, char **argv)
                         ", but --adapters is " + std::to_string(*adapters));
         }
     } else {
-        workload::TraceGenConfig wl = *workload_name == "wildchat"
-                                          ? workload::wildchatLike()
-                                      : *workload_name == "lmsys"
-                                          ? workload::lmsysLike()
-                                          : workload::splitwiseLike();
+        workload::TraceGenConfig wl = workload::presetConfig(preset);
         wl.rps = *rps;
         wl.durationSeconds = *duration;
         wl.numAdapters = static_cast<int>(*adapters);
         wl.seed = static_cast<std::uint64_t>(*seed);
         wl.numTenants = spec.tenancy.tenants;
-        if (*tenant_storm > 1.0) {
-            // Tenant 0 bursts for the middle half of the trace, leaving
-            // clean head/tail windows for comparison.
-            wl.stormTenant = 0;
-            wl.stormMultiplier = *tenant_storm;
-            wl.stormStartSeconds = 0.25 * wl.durationSeconds;
-            wl.stormEndSeconds = 0.75 * wl.durationSeconds;
-        }
+        workload::applyTenantStorm(&wl, *tenant_storm);
         workload::TraceGenerator gen(wl, pool.get());
         trace = gen.generate();
     }
@@ -493,13 +484,13 @@ main(int argc, char **argv)
     if (!save_trace->empty())
         trace.saveCsv(*save_trace);
 
-    model::CostModel cost(spec.engine.model, spec.engine.gpu,
-                          spec.engine.tpDegree, spec.engine.cost);
-    const double slo =
-        *slo_multiplier > 0.0
-            ? sim::toSeconds(serving::computeSlo(trace, cost, pool.get(),
-                                                 *slo_multiplier))
-            : 0.0;
+    core::Runner runner(spec, pool.get());
+    runner.setSloMultiplier(*slo_multiplier);
+    obs::TraceRecorder recorder;
+    if (!trace_out->empty())
+        runner.setTraceRecorder(&recorder);
+    const core::RunReport report = runner.run(trace);
+    const auto &s = report.stats;
 
     std::printf("system      : %s (scheduler %s, adapters %s"
                 "%s%s)\n",
@@ -559,18 +550,10 @@ main(int argc, char **argv)
     }
     if (*slo_multiplier > 0.0) {
         std::printf("TTFT SLO    : %.2f s (%gx mean isolated latency)\n\n",
-                    slo, *slo_multiplier);
+                    report.sloSeconds, *slo_multiplier);
     } else {
         std::printf("TTFT SLO    : disabled (--slo-multiplier 0)\n\n");
     }
-
-    core::Runner runner(spec, pool.get());
-    runner.setSloMultiplier(*slo_multiplier);
-    obs::TraceRecorder recorder;
-    if (!trace_out->empty())
-        runner.setTraceRecorder(&recorder);
-    const core::RunReport report = runner.run(trace);
-    const auto &s = report.stats;
 
     std::printf("finished    : %lld / %lld (%lld preempts, %lld squashes, "
                 "%lld bypasses, %.1f%% cache hits)\n",
@@ -582,9 +565,9 @@ main(int argc, char **argv)
                 100.0 * s.cacheHitRate());
     std::printf("TTFT        : p50 %.3f s, p90 %.3f s, p99 %.3f s%s\n",
                 s.ttft.p50(), s.ttft.p90(), s.ttft.p99(),
-                *slo_multiplier <= 0.0  ? ""
-                : s.ttft.p99() <= slo ? "  (meets SLO)"
-                                      : "  (VIOLATES SLO)");
+                *slo_multiplier <= 0.0             ? ""
+                : s.ttft.p99() <= report.sloSeconds ? "  (meets SLO)"
+                                                    : "  (VIOLATES SLO)");
     std::printf("TBT         : p50 %.1f ms, p99 %.1f ms\n", s.tbt.p50(),
                 s.tbt.p99());
     std::printf("E2E         : p50 %.2f s, p99 %.2f s\n", s.e2e.p50(),

@@ -102,13 +102,15 @@ main(int argc, char **argv)
                     "system", "rps", "replicas", "fleet", "router",
                     "autoscale", "migration", "trace_seed");
         for (const auto &cell : *cells) {
-            std::printf("%-32s %8.2f %9d %-16s %-15s %9s %-9s %12llu\n",
-                        cell.system.c_str(), cell.rps, cell.replicaCount,
-                        cell.fleet.empty() ? "-" : cell.fleet.c_str(),
-                        cell.router.c_str(),
-                        cell.autoscale ? "on" : "off",
-                        cell.migration.c_str(),
-                        static_cast<unsigned long long>(cell.traceSeed));
+            const auto &cluster = cell.spec.cluster;
+            std::printf(
+                "%-32s %8.2f %9d %-16s %-15s %9s %-9s %12llu\n",
+                cell.system.c_str(), cell.rps, cluster.replicas,
+                cell.fleet.empty() ? "-" : cell.fleet.c_str(),
+                routing::routerPolicyName(cluster.router),
+                cluster.autoscale ? "on" : "off",
+                fabric::migrationPolicyName(cell.spec.fabric.migration),
+                static_cast<unsigned long long>(cell.traceSeed));
         }
         return 0;
     }
@@ -131,8 +133,8 @@ main(int argc, char **argv)
         const auto &cell = result.cell;
         const auto &s = result.report.stats;
         std::printf("%-32s %8.2f %9d %-15s %9lld %12.3f %12.3f %6.1f%%\n",
-                    cell.system.c_str(), cell.rps, cell.replicaCount,
-                    cell.router.c_str(),
+                    cell.system.c_str(), cell.rps, cell.spec.cluster.replicas,
+                    routing::routerPolicyName(cell.spec.cluster.router),
                     static_cast<long long>(s.finished), s.ttft.p50(),
                     s.ttft.p99(), 100.0 * result.report.cacheHitRate);
     }
