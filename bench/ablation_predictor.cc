@@ -25,14 +25,14 @@ main()
     struct Entry
     {
         const char *label;
-        const char *predictor;
+        core::PredictorKind predictor;
         double accuracy;
     };
     const Entry entries[] = {
-        {"oracle (100%)", "bert", 1.0},
-        {"bert-proxy (80%)", "bert", 0.8},
-        {"bert-proxy (60%)", "bert", 0.6},
-        {"history-ewma", "history", 0.0},
+        {"oracle (100%)", core::PredictorKind::Bert, 1.0},
+        {"bert-proxy (80%)", core::PredictorKind::Bert, 0.8},
+        {"bert-proxy (60%)", core::PredictorKind::Bert, 0.6},
+        {"history-ewma", core::PredictorKind::History, 0.0},
     };
 
     std::printf("%-18s %12s %12s %12s\n", "predictor", "p99ttft(s)",

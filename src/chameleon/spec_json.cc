@@ -31,7 +31,7 @@ struct JsonPrinter
     JsonValue out = JsonValue::makeObject();
 
     template <typename M>
-    void field(const char *key, M T::*member)
+    void field(const char *key, M T::*member, sim::Domain = {})
     {
         out.set(key, toJson(in.*member));
     }
@@ -40,7 +40,7 @@ struct JsonPrinter
      * Printing every engine field (rather than a diff against "engine")
      * keeps the round trip exact whatever base they were applied onto. */
     void field(const char *key, int T::*count,
-               std::vector<serving::EngineConfig> T::*engines)
+               std::vector<serving::EngineConfig> T::*engines, sim::Domain)
     {
         if ((in.*engines).empty()) {
             out.set(key, toJson(in.*count));
@@ -52,7 +52,7 @@ struct JsonPrinter
         out.set(key, std::move(list));
     }
 
-    void seconds(const char *key, sim::SimTime T::*member)
+    void seconds(const char *key, sim::SimTime T::*member, sim::Domain)
     {
         out.set(key, JsonValue::makeNumber(sim::toSeconds(in.*member)));
     }
@@ -115,22 +115,30 @@ class JsonParser
     {
     }
 
+    /** Domains are validate()'s to check, after the whole parse. */
     template <typename M>
-    void field(const char *key, M T::*member)
+    void field(const char *key, M T::*member, sim::Domain = {})
     {
         ok_ = ok_ && read(key, &(out_->*member));
     }
 
     void field(const char *key, int T::*count,
-               std::vector<serving::EngineConfig> T::*engines)
+               std::vector<serving::EngineConfig> T::*engines, sim::Domain)
     {
         ok_ = ok_ && readReplicas(key, &(out_->*count), &(out_->*engines));
     }
 
-    void seconds(const char *key, sim::SimTime T::*member)
+    /** Except a time's: out of it, the conversion overflows SimTime. */
+    void seconds(const char *key, sim::SimTime T::*member,
+                 sim::Domain domain)
     {
         double value = sim::toSeconds(out_->*member);
         ok_ = ok_ && reader_.getDouble(key, &value);
+        if (ok_ && !domain.contains(value)) {
+            ok_ = reader_.fail(key, "must be " + domain.describe() +
+                                        " (got " + sim::formatDouble(value) +
+                                        ")");
+        }
         if (ok_)
             out_->*member = sim::fromSeconds(value);
     }

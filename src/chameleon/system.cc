@@ -58,9 +58,8 @@ buildTenantTable(const TenancySpec &spec)
 std::unique_ptr<predict::OutputPredictor>
 buildPredictor(const PredictorSpec &spec)
 {
-    if (spec.kind == "history")
+    if (spec.kind == PredictorKind::History)
         return std::make_unique<predict::HistoryLengthPredictor>();
-    CHM_CHECK(spec.kind == "bert", "unknown predictor: " << spec.kind);
     return std::make_unique<predict::LengthPredictor>(spec.accuracy,
                                                       spec.seed);
 }
@@ -91,10 +90,8 @@ buildEngine(const SystemSpec &spec, std::size_t replica,
         ecfg.predictedReservation = true;
         break;
     }
-    if (spec.chunkedPrefill) {
-        ecfg.prefillChunkTokens =
-            std::max<std::int64_t>(spec.chunkTokens, 1);
-    }
+    if (spec.chunkedPrefill)
+        ecfg.prefillChunkTokens = spec.chunkTokens;
 
     // Scheduler axis.
     std::unique_ptr<serving::Scheduler> scheduler;
@@ -185,7 +182,14 @@ drainSimulation(sim::Simulator &simulator, const workload::Trace &trace,
 Runner::Runner(SystemSpec spec, const model::AdapterPool *pool)
     : spec_(std::move(spec)), pool_(pool)
 {
-    const auto errors = spec_.validate();
+    auto errors = spec_.validate();
+    bool hardware = hasHardware(spec_.engine);
+    for (const auto &engine : spec_.cluster.replicaEngines)
+        hardware = hardware && hasHardware(engine);
+    if (!hardware) {
+        errors.push_back("no hardware: set engine.model and engine.gpu "
+                         "(the presets leave them unset)");
+    }
     if (!errors.empty()) {
         std::ostringstream os;
         os << "invalid SystemSpec '" << spec_.name << "':";

@@ -83,7 +83,7 @@ SystemRegistry::has(const std::string &name) const
     return entries_.count(name) != 0;
 }
 
-bool
+const char *
 SystemRegistry::applyModifier(SystemSpec &spec, const std::string &token,
                               std::string *error)
 {
@@ -91,58 +91,65 @@ SystemRegistry::applyModifier(SystemSpec &spec, const std::string &token,
     SchedulerPolicy scheduler = SchedulerPolicy::Mlq;
     // Eviction axis (implies the chameleon cache stays required;
     // validate() rejects the combination on a cacheless base).
-    if (token == "lru") {
-        spec.adapters.eviction = EvictionKind::Lru;
-    } else if (token == "fairshare" || token == "fair-share") {
-        spec.adapters.eviction = EvictionKind::FairShare;
-    } else if (token == "gdsf") {
-        spec.adapters.eviction = EvictionKind::Gdsf;
-    } else if (token == "paper") {
-        spec.adapters.eviction = EvictionKind::Paper;
-    // Scheduler axis: the policy names themselves.
-    } else if (schedulerPolicyByName(token, &scheduler)) {
+    static constexpr sim::EnumName<EvictionKind> kEvictions[] = {
+        {EvictionKind::Lru, "lru"},
+        {EvictionKind::FairShare, "fairshare"},
+        {EvictionKind::FairShare, "fair-share"},
+        {EvictionKind::Gdsf, "gdsf"},
+        {EvictionKind::Paper, "paper"},
+    };
+    for (const auto &row : kEvictions) {
+        if (token == row.name) {
+            spec.adapters.eviction = row.value;
+            return "eviction";
+        }
+    }
+    if (schedulerPolicyByName(token, &scheduler)) {
         spec.scheduler.policy = scheduler;
-    // Adapter-management axis.
-    } else if (token == "cache") {
-        spec.adapters.policy = AdapterPolicy::ChameleonCache;
-    } else if (token == "ondemand" || token == "on-demand") {
-        spec.adapters.policy = AdapterPolicy::OnDemand;
-    // Knobs.
-    } else if (token == "noprefetch") {
+        return "scheduler";
+    }
+    if (token == "cache" || token == "ondemand" || token == "on-demand") {
+        spec.adapters.policy = token == "cache"
+                                   ? AdapterPolicy::ChameleonCache
+                                   : AdapterPolicy::OnDemand;
+        return "adapter-policy";
+    }
+    if (token == "noprefetch") {
         spec.adapters.predictivePrefetch = false;
         spec.adapters.prefetchTopK = 0;
-    } else if (splitNumericSuffix(token, "prefetch", &value)) {
+        return "prefetch";
+    }
+    if (splitNumericSuffix(token, "prefetch", &value)) {
         spec.adapters.predictivePrefetch = true;
         spec.adapters.prefetchTopK =
             value < 0 ? 8 : static_cast<std::size_t>(value);
-    } else if (token == "bypass") {
-        spec.scheduler.bypass = true;
-    } else if (token == "nobypass") {
-        spec.scheduler.bypass = false;
-    } else if (token == "static") {
-        spec.scheduler.dynamicQueues = false;
-    } else if (token == "dynamic") {
-        spec.scheduler.dynamicQueues = true;
-    } else if (token == "history") {
-        spec.predictor.kind = "history";
-    } else if (token == "bert") {
-        spec.predictor.kind = "bert";
-    } else if (splitNumericSuffix(token, "chunked", &value)) {
+        return "prefetch";
+    }
+    if (token == "bypass" || token == "nobypass") {
+        spec.scheduler.bypass = token == "bypass";
+        return "bypass";
+    }
+    if (token == "static" || token == "dynamic") {
+        spec.scheduler.dynamicQueues = token == "dynamic";
+        return "queues";
+    }
+    if (sim::enumByName(token, &spec.predictor.kind))
+        return "predictor";
+    if (splitNumericSuffix(token, "chunked", &value)) {
         spec.chunkedPrefill = true;
         if (value >= 0)
             spec.chunkTokens = value;
-    } else {
-        if (error != nullptr) {
-            std::ostringstream os;
-            os << "unknown system modifier '+" << token << "'; known: ";
-            const auto mods = modifierHelp();
-            for (std::size_t i = 0; i < mods.size(); ++i)
-                os << (i ? ", " : "") << mods[i];
-            *error = os.str();
-        }
-        return false;
+        return "chunking";
     }
-    return true;
+    if (error != nullptr) {
+        std::ostringstream os;
+        os << "unknown system modifier '+" << token << "'; known: ";
+        const auto mods = modifierHelp();
+        for (std::size_t i = 0; i < mods.size(); ++i)
+            os << (i ? ", " : "") << mods[i];
+        *error = os.str();
+    }
+    return nullptr;
 }
 
 std::optional<SystemSpec>
@@ -168,6 +175,8 @@ SystemRegistry::find(const std::string &name, std::string *error) const
         return std::nullopt;
     }
     SystemSpec spec = base->second.spec;
+    // Axis -> the modifier token that set it.
+    std::map<std::string, std::string> axisTokens;
     if (plus != std::string::npos) {
         std::string rest = name.substr(plus + 1);
         while (true) {
@@ -180,8 +189,17 @@ SystemRegistry::find(const std::string &name, std::string *error) const
                     *error = "empty modifier in '" + name + "'";
                 return std::nullopt;
             }
-            if (!applyModifier(spec, token, error))
+            const char *axis = applyModifier(spec, token, error);
+            if (axis == nullptr)
                 return std::nullopt;
+            const auto [earlier, fresh] = axisTokens.emplace(axis, token);
+            if (!fresh) {
+                if (error != nullptr)
+                    *error = "modifiers '+" + earlier->second + "' and '+" +
+                             token + "' in '" + name + "' both set the " +
+                             axis + " axis; keep one";
+                return std::nullopt;
+            }
             if (next == std::string::npos)
                 break;
             rest = rest.substr(next + 1);

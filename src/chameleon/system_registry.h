@@ -49,8 +49,9 @@ class SystemRegistry
 
     /**
      * Resolve a name, applying the composition grammar when the exact
-     * name is not registered. Returns std::nullopt and fills `error`
-     * (when non-null) with an actionable message on failure.
+     * name is not registered; at most one modifier may set each axis.
+     * Returns std::nullopt and fills `error` (when non-null) with an
+     * actionable message on failure.
      */
     std::optional<SystemSpec> find(const std::string &name,
                                    std::string *error = nullptr) const;
@@ -74,8 +75,11 @@ class SystemRegistry
         std::string description;
     };
 
-    static bool applyModifier(SystemSpec &spec, const std::string &token,
-                              std::string *error);
+    /** Apply one modifier; returns the policy axis it set, or nullptr
+     *  (filling `error`) for an unknown token. */
+    static const char *applyModifier(SystemSpec &spec,
+                                     const std::string &token,
+                                     std::string *error);
 
     std::map<std::string, Entry> entries_;
 };

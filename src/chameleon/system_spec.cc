@@ -1,5 +1,6 @@
 #include "chameleon/system_spec.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace chameleon::core {
@@ -13,6 +14,16 @@ enumTable(SchedulerPolicy)
         {SchedulerPolicy::Mlq, "mlq"},
         {SchedulerPolicy::Wfq, "wfq"},
         {SchedulerPolicy::Drr, "drr"},
+    };
+    return kNames;
+}
+
+sim::EnumTable<PredictorKind>
+enumTable(PredictorKind)
+{
+    static constexpr sim::EnumName<PredictorKind> kNames[] = {
+        {PredictorKind::Bert, "bert"},
+        {PredictorKind::History, "history"},
     };
     return kNames;
 }
@@ -124,6 +135,13 @@ SystemSpec::withFleet(const std::vector<model::GpuSpec> &gpus,
     return *this;
 }
 
+bool
+hasHardware(const serving::EngineConfig &engine)
+{
+    return !(engine.model == model::ModelSpec{}) &&
+           !(engine.gpu == model::GpuSpec{});
+}
+
 const serving::EngineConfig &
 SystemSpec::resolvedEngine(std::size_t replica) const
 {
@@ -132,19 +150,80 @@ SystemSpec::resolvedEngine(std::size_t replica) const
     return engine;
 }
 
+namespace {
+
+/**
+ * The rules across one engine's leaves, checked once its hardware is
+ * chosen and every leaf lies in its domain (so the products below fit
+ * int64 and the quotients are finite):
+ *  - the weights plus a workspace per GPU fit the TP group's memory
+ *    (gpu_memory.cc), with room for one KV token under MLQ (system.cc);
+ *  - a full-context prefill, a decode step over it and a cold-start
+ *    weight load each take at most sim::kMaxSpanSeconds, so the cost
+ *    model's times fit SimTime.
+ */
+void
+checkEngine(const std::string &key, const serving::EngineConfig &engine,
+            bool mlq, std::vector<std::string> *errors)
+{
+    std::vector<std::string> leafErrors;
+    sim::checkDomains(engine, &leafErrors);
+    if (!hasHardware(engine) || !leafErrors.empty())
+        return;
+    const model::ModelSpec &m = engine.model;
+    const std::int64_t tp = engine.tpDegree;
+    const std::int64_t room = tp * engine.gpu.memBytes - m.weightsBytes() -
+                              tp * engine.workspacePerGpu;
+    const std::int64_t need = mlq ? m.kvBytesPerToken() : 0;
+    if (room < need) {
+        std::ostringstream os;
+        os << key << ": " << m.name << " weights (" << m.weightsBytes()
+           << " B) plus tp_degree " << tp << " x workspace_per_gpu ("
+           << engine.workspacePerGpu << " B) leave " << room
+           << " B of tp_degree x gpu.mem_bytes ("
+           << tp * engine.gpu.memBytes << " B)";
+        if (mlq)
+            os << "; the MLQ scheduler needs room for one KV token ("
+               << need << " B)";
+        os << "; raise tp_degree or pick a larger GPU";
+        errors->push_back(os.str());
+    }
+    const model::CostModel cost(m, engine.gpu, engine.tpDegree, engine.cost);
+    const double context = static_cast<double>(model::kMaxContextTokens);
+    const double prefill = context * m.flopsPerToken() / cost.effectiveFlops();
+    const double weights = static_cast<double>(m.weightsBytes());
+    const double decode =
+        (weights + context * static_cast<double>(m.kvBytesPerToken())) /
+        cost.effectiveMemBandwidth();
+    const double load = weights / engine.gpu.pcieBandwidth;
+    if (std::max({prefill, decode, load}) > sim::kMaxSpanSeconds) {
+        std::ostringstream os;
+        os << key << ": a " << model::kMaxContextTokens
+           << "-token context takes " << prefill << " s to prefill and "
+           << decode << " s per decode step, and a cold start loads the "
+           << "weights in " << load << " s, beyond the "
+           << sim::kMaxSpanSeconds << " s a span may last; raise "
+           << "gpu.fp16_flops, gpu.mem_bandwidth, gpu.pcie_bandwidth or "
+           << "the cost utilisations";
+        errors->push_back(os.str());
+    }
+}
+
+} // namespace
+
 std::vector<std::string>
 SystemSpec::validate() const
 {
     std::vector<std::string> errors;
+    sim::checkDomains(*this, &errors);
     auto err = [&errors](const std::ostringstream &os) {
         errors.push_back(os.str());
     };
-
-    if (cluster.replicas < 1) {
-        std::ostringstream os;
-        os << "cluster.replicas must be >= 1 (got " << cluster.replicas
-           << "); replicas = 1 means a single engine";
-        err(os);
+    const bool mlq = scheduler.policy == SchedulerPolicy::Mlq;
+    checkEngine("engine", engine, mlq, &errors);
+    for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i) {
+        checkEngine("cluster.replicas[" + std::to_string(i) + "]",
+                    cluster.replicaEngines[i], mlq, &errors);
     }
     if (!cluster.replicaEngines.empty() &&
         static_cast<int>(cluster.replicaEngines.size()) !=
@@ -155,28 +234,6 @@ SystemSpec::validate() const
            << "but cluster.replicas = " << cluster.replicas
            << "; give exactly one override per replica (or clear the "
            << "list for a homogeneous fleet)";
-        err(os);
-    }
-    // The cost model splits work across a power-of-two GPU group.
-    auto checkTp = [&err](const std::string &key, int tp) {
-        if (tp < 1 || (tp & (tp - 1)) != 0) {
-            std::ostringstream os;
-            os << key << " must be a power of two >= 1 (got " << tp
-               << ")";
-            err(os);
-        }
-    };
-    for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i) {
-        checkTp("cluster.replicaEngines[" + std::to_string(i) +
-                    "].tpDegree",
-                cluster.replicaEngines[i].tpDegree);
-    }
-    checkTp("engine.tpDegree", engine.tpDegree);
-    if (chunkedPrefill && chunkTokens <= 0) {
-        std::ostringstream os;
-        os << "chunked prefill enabled with non-positive chunk size ("
-           << chunkTokens << "); set chunkTokens > 0 or disable "
-           << "chunkedPrefill";
         err(os);
     }
     if (adapters.predictivePrefetch && adapters.prefetchTopK == 0) {
@@ -209,31 +266,6 @@ SystemSpec::validate() const
            << adapterPolicyName(adapters.policy) << ")";
         err(os);
     }
-    if (predictor.kind != "bert" && predictor.kind != "history") {
-        std::ostringstream os;
-        os << "unknown predictor kind '" << predictor.kind
-           << "'; use \"bert\" or \"history\"";
-        err(os);
-    }
-    if (predictor.accuracy < 0.0 || predictor.accuracy > 1.0) {
-        std::ostringstream os;
-        os << "predictor.accuracy must be within [0, 1] (got "
-           << predictor.accuracy << ")";
-        err(os);
-    }
-    if (scheduler.policy == SchedulerPolicy::Mlq &&
-        scheduler.sloSeconds <= 0.0) {
-        std::ostringstream os;
-        os << "MLQ quota assignment needs scheduler.sloSeconds > 0 (got "
-           << scheduler.sloSeconds << ")";
-        err(os);
-    }
-    if (tenancy.tenants < 1) {
-        std::ostringstream os;
-        os << "tenancy.tenants must be >= 1 (got " << tenancy.tenants
-           << "); 1 means the anonymous single-tenant default";
-        err(os);
-    }
     if (!tenancy.weights.empty() &&
         static_cast<int>(tenancy.weights.size()) != tenancy.tenants) {
         std::ostringstream os;
@@ -243,14 +275,6 @@ SystemSpec::validate() const
            << "equal weights)";
         err(os);
     }
-    for (std::size_t i = 0; i < tenancy.weights.size(); ++i) {
-        if (tenancy.weights[i] <= 0.0) {
-            std::ostringstream os;
-            os << "tenancy.weights[" << i << "] must be > 0 (got "
-               << tenancy.weights[i] << ")";
-            err(os);
-        }
-    }
     if (!tenancy.sloMultipliers.empty() &&
         static_cast<int>(tenancy.sloMultipliers.size()) !=
             tenancy.tenants) {
@@ -258,21 +282,6 @@ SystemSpec::validate() const
         os << "tenancy.sloMultipliers has " << tenancy.sloMultipliers.size()
            << " entries but tenancy.tenants = " << tenancy.tenants
            << "; give one multiplier per tenant (or clear the list)";
-        err(os);
-    }
-    for (std::size_t i = 0; i < tenancy.sloMultipliers.size(); ++i) {
-        if (tenancy.sloMultipliers[i] <= 0.0) {
-            std::ostringstream os;
-            os << "tenancy.sloMultipliers[" << i << "] must be > 0 (got "
-               << tenancy.sloMultipliers[i] << ")";
-            err(os);
-        }
-    }
-    if (tenancy.drrQuantumTokens <= 0) {
-        std::ostringstream os;
-        os << "tenancy.drrQuantumTokens must be > 0 (got "
-           << tenancy.drrQuantumTokens << "); it is the per-round DRR "
-           << "credit in prefill tokens";
         err(os);
     }
     if (fabricEnabled() &&
@@ -287,45 +296,24 @@ SystemSpec::validate() const
            << adapterPolicyName(adapters.policy) << ")";
         err(os);
     }
-    if (fabric.topK < 1) {
-        std::ostringstream os;
-        os << "fabric.topK must be >= 1 (got " << fabric.topK
-           << "); it is the hot-adapter window per migration trigger";
-        err(os);
-    }
     if (cluster.autoscale) {
-        if (cluster.autoscaler.minReplicas < 1) {
-            errors.push_back(
-                "autoscaler.minReplicas must be >= 1; a cluster cannot "
-                "drain to zero replicas");
-        }
-        if (cluster.autoscaler.maxReplicas <
-            cluster.autoscaler.minReplicas) {
+        const auto &as = cluster.autoscaler;
+        if (as.maxReplicas < as.minReplicas) {
             std::ostringstream os;
-            os << "autoscaler.maxReplicas ("
-               << cluster.autoscaler.maxReplicas
-               << ") must be >= minReplicas ("
-               << cluster.autoscaler.minReplicas << ")";
+            os << "autoscaler.maxReplicas (" << as.maxReplicas
+               << ") must be >= minReplicas (" << as.minReplicas << ")";
             err(os);
         }
-        if (cluster.autoscaler.bootMs < 0.0) {
+        if (as.lowWatermark >= as.highWatermark) {
             std::ostringstream os;
-            os << "autoscaler.bootMs must be >= 0 (got "
-               << cluster.autoscaler.bootMs
-               << "); 0 disables the cold-start model";
+            os << "cluster.autoscaler.low_watermark (" << as.lowWatermark
+               << ") must be < high_watermark (" << as.highWatermark
+               << "); replicas drain below the low mark and are added "
+               << "above the high one";
             err(os);
         }
-        if (cluster.autoscaler.measuredRateAlpha < 0.0 ||
-            cluster.autoscaler.measuredRateAlpha > 1.0) {
-            std::ostringstream os;
-            os << "autoscaler.measuredRateAlpha must be within [0, 1] "
-               << "(got " << cluster.autoscaler.measuredRateAlpha
-               << "); 0 keeps the static nominal routing weights";
-            err(os);
-        }
-        if (cluster.autoscaler.demandSource ==
-                routing::DemandSource::Measured &&
-            cluster.autoscaler.measuredRateAlpha <= 0.0) {
+        if (as.demandSource == routing::DemandSource::Measured &&
+            as.measuredRateAlpha <= 0.0) {
             std::ostringstream os;
             os << "autoscaler.demandSource 'measured' needs "
                << "measuredRateAlpha > 0 — without the per-replica "

@@ -54,8 +54,15 @@ enum class ReservationPolicy {
     Predicted, ///< Input + predicted output (Chameleon admission).
 };
 
+/** Output-length predictor the engines consult. */
+enum class PredictorKind {
+    Bert,    ///< Accuracy-knob proxy of the paper's BERT predictor.
+    History, ///< Online EWMA of observed output lengths.
+};
+
 /** Name tables (simkit/enum_table.h); the wrappers below read them. */
 sim::EnumTable<SchedulerPolicy> enumTable(SchedulerPolicy);
+sim::EnumTable<PredictorKind> enumTable(PredictorKind);
 sim::EnumTable<AdapterPolicy> enumTable(AdapterPolicy);
 sim::EnumTable<EvictionKind> enumTable(EvictionKind);
 sim::EnumTable<ReservationPolicy> enumTable(ReservationPolicy);
@@ -103,8 +110,7 @@ const std::vector<EvictionKind> &allEvictionPolicies();
 /** Output-length predictor axis. */
 struct PredictorSpec
 {
-    /** "bert" (accuracy-knob proxy) or "history" (online EWMA). */
-    std::string kind = "bert";
+    PredictorKind kind = PredictorKind::Bert;
     /** Accuracy of the bert proxy (paper's predictor: ~0.8). */
     double accuracy = 0.8;
     std::uint64_t seed = 0xC0FFEE;
@@ -114,7 +120,7 @@ struct PredictorSpec
     static void fields(V &v)
     {
         v.field("kind", &PredictorSpec::kind);
-        v.field("accuracy", &PredictorSpec::accuracy);
+        v.field("accuracy", &PredictorSpec::accuracy, sim::within(0.0, 1.0));
         v.seed("seed", &PredictorSpec::seed);
     }
 };
@@ -142,9 +148,13 @@ struct SchedulerSpec
     static void fields(V &v)
     {
         v.field("policy", &SchedulerSpec::policy);
-        v.field("sjf_aging_per_second", &SchedulerSpec::sjfAgingPerSecond);
-        v.field("slo_seconds", &SchedulerSpec::sloSeconds);
-        v.seconds("refresh_period_s", &SchedulerSpec::refreshPeriod);
+        v.field("sjf_aging_per_second", &SchedulerSpec::sjfAgingPerSecond,
+                sim::nonNegative());
+        // MLQ quota assignment divides by it.
+        v.field("slo_seconds", &SchedulerSpec::sloSeconds,
+                sim::positive(sim::kMaxSpanSeconds));
+        v.seconds("refresh_period_s", &SchedulerSpec::refreshPeriod,
+                  sim::nonNegative(sim::kMaxSpanSeconds));
         v.field("bypass", &SchedulerSpec::bypass);
         v.field("dynamic_queues", &SchedulerSpec::dynamicQueues);
         v.field("wrs_form", &SchedulerSpec::wrsForm);
@@ -169,7 +179,8 @@ struct AdapterSpec
         v.field("policy", &AdapterSpec::policy);
         v.field("eviction", &AdapterSpec::eviction);
         v.field("predictive_prefetch", &AdapterSpec::predictivePrefetch);
-        v.field("prefetch_top_k", &AdapterSpec::prefetchTopK);
+        v.field("prefetch_top_k", &AdapterSpec::prefetchTopK,
+                sim::nonNegative());
     }
 };
 
@@ -201,10 +212,14 @@ struct TenancySpec
     template <typename V>
     static void fields(V &v)
     {
-        v.field("tenants", &TenancySpec::tenants);
-        v.field("weights", &TenancySpec::weights);
-        v.field("slo_multipliers", &TenancySpec::sloMultipliers);
-        v.field("drr_quantum_tokens", &TenancySpec::drrQuantumTokens);
+        v.field("tenants", &TenancySpec::tenants, sim::positive());
+        // Element-wise: every weight and scale divides or multiplies.
+        v.field("weights", &TenancySpec::weights, sim::positive());
+        v.field("slo_multipliers", &TenancySpec::sloMultipliers,
+                sim::positive());
+        // The per-round DRR credit in prefill tokens.
+        v.field("drr_quantum_tokens", &TenancySpec::drrQuantumTokens,
+                sim::positive());
     }
 };
 
@@ -239,7 +254,7 @@ struct ClusterSpec
         // One key for both: an integer count for a homogeneous fleet,
         // or the array of resolved per-replica engines.
         v.field("replicas", &ClusterSpec::replicas,
-                &ClusterSpec::replicaEngines);
+                &ClusterSpec::replicaEngines, sim::positive());
         v.field("router", &ClusterSpec::router);
         v.field("router_config", &ClusterSpec::routerConfig);
         v.field("autoscale", &ClusterSpec::autoscale);
@@ -268,7 +283,7 @@ struct FabricSpec
     {
         v.field("migration", &FabricSpec::migration);
         v.field("topology", &FabricSpec::topology);
-        v.field("top_k", &FabricSpec::topK);
+        v.field("top_k", &FabricSpec::topK, sim::positive());
     }
 
     /** Does this axis alone require a fabric? */
@@ -277,6 +292,13 @@ struct FabricSpec
         return migration != fabric::MigrationPolicy::Off;
     }
 };
+
+/**
+ * Are the engine's model and GPU chosen? The presets leave both
+ * default-constructed; validate() checks only chosen hardware, and
+ * the Runner refuses to run without it.
+ */
+bool hasHardware(const serving::EngineConfig &engine);
 
 /**
  * A complete, declarative description of one serving system. Every
@@ -345,9 +367,11 @@ struct SystemSpec
     }
 
     /**
-     * Check the spec for contradictions. Returns one actionable message
-     * per problem (empty = valid). Runner construction runs this and
-     * fails fast with the joined messages.
+     * The boundary every spec passes before it runs: one actionable
+     * message per problem (empty = valid). It reports each member
+     * outside the domain its field list declares (sim::checkDomains),
+     * then the rules that span several members. Runner construction
+     * runs this and fails fast with the joined messages.
      */
     std::vector<std::string> validate() const;
 
@@ -365,7 +389,7 @@ struct SystemSpec
         v.field("fabric", &SystemSpec::fabric);
         v.field("reservation", &SystemSpec::reservation);
         v.field("chunked_prefill", &SystemSpec::chunkedPrefill);
-        v.field("chunk_tokens", &SystemSpec::chunkTokens);
+        v.field("chunk_tokens", &SystemSpec::chunkTokens, sim::positive());
     }
 };
 

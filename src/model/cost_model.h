@@ -69,17 +69,29 @@ struct CostParams
     template <typename V>
     static void fields(V &v)
     {
-        v.field("compute_util", &CostParams::computeUtil);
-        v.field("mem_util", &CostParams::memUtil);
-        v.field("prefill_fixed_ms", &CostParams::prefillFixedMs);
-        v.field("mbgmm_fixed_ms", &CostParams::mbgmmFixedMs);
-        v.field("lora_ineff", &CostParams::loraIneff);
-        v.field("decode_fixed_ms", &CostParams::decodeFixedMs);
-        v.field("decode_req_us", &CostParams::decodeReqUs);
-        v.field("mbgmv_fixed_ms", &CostParams::mbgmvFixedMs);
-        v.field("decode_rank_us", &CostParams::decodeRankUs);
-        v.field("tp_sync_ms", &CostParams::tpSyncMs);
-        v.field("tp_eff_loss_per_log2", &CostParams::tpEffLossPerLog2);
+        // Utilisations divide; fixed costs are spans in ms or us.
+        constexpr double kMs = sim::kMaxSpanSeconds * 1e3;
+        constexpr double kUs = sim::kMaxSpanSeconds * 1e6;
+        v.field("compute_util", &CostParams::computeUtil, sim::positive());
+        v.field("mem_util", &CostParams::memUtil, sim::positive());
+        v.field("prefill_fixed_ms", &CostParams::prefillFixedMs,
+                sim::nonNegative(kMs));
+        v.field("mbgmm_fixed_ms", &CostParams::mbgmmFixedMs,
+                sim::nonNegative(kMs));
+        // Scales LoRA FLOP times of well under a second into spans.
+        v.field("lora_ineff", &CostParams::loraIneff, sim::nonNegative(1e9));
+        v.field("decode_fixed_ms", &CostParams::decodeFixedMs,
+                sim::nonNegative(kMs));
+        v.field("decode_req_us", &CostParams::decodeReqUs,
+                sim::nonNegative(kUs));
+        v.field("mbgmv_fixed_ms", &CostParams::mbgmvFixedMs,
+                sim::nonNegative(kMs));
+        v.field("decode_rank_us", &CostParams::decodeRankUs,
+                sim::nonNegative(kUs));
+        v.field("tp_sync_ms", &CostParams::tpSyncMs, sim::nonNegative(kMs));
+        // The efficiency it lowers is floored at 0.1 (cost_model.cc).
+        v.field("tp_eff_loss_per_log2", &CostParams::tpEffLossPerLog2,
+                sim::nonNegative());
     }
 };
 

@@ -14,6 +14,15 @@
 
 namespace chameleon::model {
 
+/**
+ * Largest device memory (and per-GPU workspace) a spec may declare:
+ * 2^52 bytes. Times a tensor-parallel degree of at most
+ * kMaxTpDegree it stays inside int64.
+ */
+inline constexpr double kMaxGpuBytes = 0x1p52;
+/** Largest tensor-parallel degree: 2^10 GPUs fused into one engine. */
+inline constexpr double kMaxTpDegree = 1 << 10;
+
 /** Static description of one GPU. */
 struct GpuSpec
 {
@@ -34,11 +43,13 @@ struct GpuSpec
     static void fields(V &v)
     {
         v.field("name", &GpuSpec::name);
-        v.field("fp16_flops", &GpuSpec::fp16Flops);
-        v.field("mem_bandwidth", &GpuSpec::memBandwidth);
-        v.field("mem_bytes", &GpuSpec::memBytes);
-        v.field("pcie_bandwidth", &GpuSpec::pcieBandwidth);
-        v.field("pcie_setup_seconds", &GpuSpec::pcieSetupSeconds);
+        v.field("fp16_flops", &GpuSpec::fp16Flops, sim::positive());
+        v.field("mem_bandwidth", &GpuSpec::memBandwidth, sim::positive());
+        v.field("mem_bytes", &GpuSpec::memBytes,
+                sim::positive(kMaxGpuBytes));
+        v.field("pcie_bandwidth", &GpuSpec::pcieBandwidth, sim::positive());
+        v.field("pcie_setup_seconds", &GpuSpec::pcieSetupSeconds,
+                sim::nonNegative(sim::kMaxSpanSeconds));
     }
 };
 

@@ -26,6 +26,13 @@ namespace chameleon::model {
 inline constexpr std::int64_t kMaxContextTokens = std::int64_t{1} << 20;
 
 /**
+ * Largest layer count or width a model may declare: 2^20. It keeps the
+ * KV bytes of a full context, 4 x layers x kv_hidden x
+ * kMaxContextTokens, inside int64.
+ */
+inline constexpr double kMaxModelDim = 1 << 20;
+
+/**
  * Static description of a base LLM.
  *
  * All byte quantities assume fp16 weights and KV entries, matching the
@@ -67,10 +74,13 @@ struct ModelSpec
     static void fields(V &v)
     {
         v.field("name", &ModelSpec::name);
-        v.field("layers", &ModelSpec::layers);
-        v.field("hidden", &ModelSpec::hidden);
-        v.field("kv_hidden", &ModelSpec::kvHidden);
-        v.field("params", &ModelSpec::params);
+        v.field("layers", &ModelSpec::layers, sim::positive(kMaxModelDim));
+        v.field("hidden", &ModelSpec::hidden, sim::positive(kMaxModelDim));
+        v.field("kv_hidden", &ModelSpec::kvHidden,
+                sim::positive(kMaxModelDim));
+        // Two bytes each: at least one byte of weights, and room in
+        // int64 to add them to other byte counts.
+        v.field("params", &ModelSpec::params, sim::within(0.5, 0x1p61));
     }
 };
 

@@ -187,22 +187,35 @@ struct AutoscalerConfig
     template <typename V>
     static void fields(V &v)
     {
-        v.field("min_replicas", &AutoscalerConfig::minReplicas);
-        v.field("max_replicas", &AutoscalerConfig::maxReplicas);
-        v.field("eval_period_s", &AutoscalerConfig::evalPeriodSeconds);
-        v.field("high_watermark", &AutoscalerConfig::highWatermark);
-        v.field("low_watermark", &AutoscalerConfig::lowWatermark);
+        constexpr sim::Domain span = sim::positive(sim::kMaxSpanSeconds);
+        // A cluster cannot drain to zero replicas.
+        v.field("min_replicas", &AutoscalerConfig::minReplicas,
+                sim::positive());
+        v.field("max_replicas", &AutoscalerConfig::maxReplicas,
+                sim::positive());
+        // The next evaluation is scheduled one period ahead.
+        v.field("eval_period_s", &AutoscalerConfig::evalPeriodSeconds,
+                span);
+        v.field("high_watermark", &AutoscalerConfig::highWatermark,
+                sim::nonNegative());
+        v.field("low_watermark", &AutoscalerConfig::lowWatermark,
+                sim::nonNegative());
         v.field("forecast_horizon_s",
-                &AutoscalerConfig::forecastHorizonSeconds);
+                &AutoscalerConfig::forecastHorizonSeconds,
+                sim::nonNegative(sim::kMaxSpanSeconds));
         v.field("forecast_window_s",
-                &AutoscalerConfig::forecastWindowSeconds);
-        v.field("replica_service_rps", &AutoscalerConfig::replicaServiceRps);
-        v.field("up_cooldown_periods", &AutoscalerConfig::upCooldownPeriods);
+                &AutoscalerConfig::forecastWindowSeconds, span);
+        v.field("replica_service_rps", &AutoscalerConfig::replicaServiceRps,
+                sim::nonNegative());
+        v.field("up_cooldown_periods", &AutoscalerConfig::upCooldownPeriods,
+                sim::nonNegative());
         v.field("down_cooldown_periods",
-                &AutoscalerConfig::downCooldownPeriods);
-        v.field("boot_ms", &AutoscalerConfig::bootMs);
+                &AutoscalerConfig::downCooldownPeriods, sim::nonNegative());
+        v.field("boot_ms", &AutoscalerConfig::bootMs,
+                sim::nonNegative(sim::kMaxSpanSeconds * 1e3));
         v.field("scale_up_policy", &AutoscalerConfig::scaleUpPolicy);
-        v.field("measured_rate_alpha", &AutoscalerConfig::measuredRateAlpha);
+        v.field("measured_rate_alpha", &AutoscalerConfig::measuredRateAlpha,
+                sim::within(0.0, 1.0));
         v.field("demand_source", &AutoscalerConfig::demandSource);
         v.field("boot_aware_horizon", &AutoscalerConfig::bootAwareHorizon);
     }

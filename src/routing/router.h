@@ -196,9 +196,12 @@ struct RouterConfig
     static void fields(V &v)
     {
         v.seed("seed", &RouterConfig::seed);
-        v.field("virtual_nodes", &RouterConfig::virtualNodes);
-        v.field("spill_load_factor", &RouterConfig::spillLoadFactor);
-        v.field("spill_margin", &RouterConfig::spillMargin);
+        v.field("virtual_nodes", &RouterConfig::virtualNodes,
+                sim::positive());
+        v.field("spill_load_factor", &RouterConfig::spillLoadFactor,
+                sim::nonNegative());
+        v.field("spill_margin", &RouterConfig::spillMargin,
+                sim::nonNegative());
         v.field("slo_admission", &RouterConfig::sloAdmission);
     }
 };

@@ -99,21 +99,28 @@ struct EngineConfig
     {
         v.field("model", &EngineConfig::model);
         v.field("gpu", &EngineConfig::gpu);
-        v.field("tp_degree", &EngineConfig::tpDegree);
+        v.field("tp_degree", &EngineConfig::tpDegree,
+                sim::powerOfTwo(model::kMaxTpDegree));
         v.field("cost", &EngineConfig::cost);
-        v.field("workspace_per_gpu", &EngineConfig::workspacePerGpu);
+        v.field("workspace_per_gpu", &EngineConfig::workspacePerGpu,
+                sim::nonNegative(model::kMaxGpuBytes));
         v.field("admission_token_budget",
-                &EngineConfig::admissionTokenBudget);
-        v.field("max_new_tokens", &EngineConfig::maxNewTokens);
+                &EngineConfig::admissionTokenBudget, sim::nonNegative());
+        // Times the KV bytes per token it stays inside int64.
+        v.field("max_new_tokens", &EngineConfig::maxNewTokens,
+                sim::nonNegative(model::kMaxContextTokens));
         // Derived from `reservation` by the Runner; kept for completeness.
         v.field("predicted_reservation",
                 &EngineConfig::predictedReservation);
-        v.field("prefill_chunk_tokens", &EngineConfig::prefillChunkTokens);
+        v.field("prefill_chunk_tokens", &EngineConfig::prefillChunkTokens,
+                sim::positive());
         v.field("max_admissions_per_iter",
-                &EngineConfig::maxAdmissionsPerIter);
-        v.field("max_running", &EngineConfig::maxRunning);
-        v.field("kv_page_tokens", &EngineConfig::kvPageTokens);
-        v.seconds("mem_sample_period_s", &EngineConfig::memSamplePeriod);
+                &EngineConfig::maxAdmissionsPerIter, sim::positive());
+        v.field("max_running", &EngineConfig::maxRunning, sim::positive());
+        v.field("kv_page_tokens", &EngineConfig::kvPageTokens,
+                sim::positive(model::kMaxContextTokens));
+        v.seconds("mem_sample_period_s", &EngineConfig::memSamplePeriod,
+                  sim::nonNegative(sim::kMaxSpanSeconds));
     }
 };
 

@@ -1,6 +1,7 @@
 #include "sweep/sweep_spec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -129,31 +130,7 @@ workloadFromJson(const JsonValue &v, SweepWorkload *out,
     getOptDouble("burst_duration_s", &out->burstDurationSeconds);
     r.getInt("tenants", &out->tenants);
     r.getDouble("tenant_storm", &out->tenantStorm);
-    if (!r.finish())
-        return false;
-    if (out->tenants < 1) {
-        return r.fail("tenants", "must be >= 1 (1 = the anonymous "
-                                 "single-tenant default)");
-    }
-    if (out->tenantStorm > 1.0 && out->tenants < 2) {
-        return r.fail("tenant_storm",
-                      "needs \"tenants\" >= 2; a storm is one tenant "
-                      "bursting against the others");
-    }
-    workload::TracePreset preset;
-    if (!sim::enumByName(out->preset, &preset)) {
-        return r.fail("preset", "unknown value \"" + out->preset +
-                                    "\"; known: " +
-                                    sim::enumNames<workload::TracePreset>());
-    }
-    if (!out->adapterPopularity.empty() &&
-        out->adapterPopularity != "uniform" &&
-        out->adapterPopularity != "powerlaw") {
-        return r.fail("adapter_popularity",
-                      "unknown value \"" + out->adapterPopularity +
-                          "\"; known: uniform, powerlaw");
-    }
-    return true;
+    return r.finish();
 }
 
 bool
@@ -221,6 +198,57 @@ std::vector<T>
 orDefault(const std::vector<T> &axis, T fallback)
 {
     return axis.empty() ? std::vector<T>{fallback} : axis;
+}
+
+/**
+ * The rules on a sweep's own values, shared by sweepFromJson and
+ * expandSweep so a SweepSpec built in C++ meets the same ones as a
+ * parsed file. Returns the first problem, naming its JSON key, or "".
+ */
+std::string
+sweepProblem(const SweepSpec &spec)
+{
+    const SweepWorkload &w = spec.workload;
+    if (w.tenants < 1) {
+        return "\"workload.tenants\" must be >= 1 (1 = the anonymous "
+               "single-tenant default)";
+    }
+    if (w.tenantStorm > 1.0 && w.tenants < 2) {
+        return "\"workload.tenant_storm\" needs \"tenants\" >= 2; a storm "
+               "is one tenant bursting against the others";
+    }
+    workload::TracePreset preset;
+    if (!sim::enumByName(w.preset, &preset)) {
+        return "\"workload.preset\" unknown value \"" + w.preset +
+               "\"; known: " + sim::enumNames<workload::TracePreset>();
+    }
+    if (!w.adapterPopularity.empty() && w.adapterPopularity != "uniform" &&
+        w.adapterPopularity != "powerlaw") {
+        return "\"workload.adapter_popularity\" unknown value \"" +
+               w.adapterPopularity + "\"; known: uniform, powerlaw";
+    }
+    if (w.adapters < 0) {
+        // A negative count would silently run base-only and misread
+        // as a valid sweep with empty cache columns.
+        return "\"workload.adapters\" must be >= 0 (0 = base-only "
+               "workload)";
+    }
+    if (!spec.fleets.empty() && !spec.replicas.empty()) {
+        return "\"fleets\" conflicts with \"replicas\"; a fleet preset "
+               "already fixes each cell's replica count";
+    }
+    if (spec.threads < 1)
+        return "\"threads\" must be >= 1";
+    if (!std::isfinite(w.tenantStorm))
+        return "\"workload.tenant_storm\" must be finite";
+    for (const double rps : orDefault(spec.loads, 8.0)) {
+        const std::string problem = workload::traceLoadProblem(
+            cellTraceConfig(spec, rps, spec.seed), "\"loads\" entry",
+            "\"workload.duration_s\"");
+        if (!problem.empty())
+            return problem;
+    }
+    return "";
 }
 
 } // namespace
@@ -295,36 +323,10 @@ sweepFromJson(const std::string &text, std::string *error)
                      "and/or a \"grid\"";
         return std::nullopt;
     }
-    if (!spec.fleets.empty() && !spec.replicas.empty()) {
+    const std::string problem = sweepProblem(spec);
+    if (!problem.empty()) {
         if (error != nullptr)
-            *error = "sweep json: \"fleets\" conflicts with "
-                     "\"replicas\"; a fleet preset already fixes each "
-                     "cell's replica count";
-        return std::nullopt;
-    }
-    if (spec.threads < 1) {
-        if (error != nullptr)
-            *error = "sweep json: \"threads\" must be >= 1";
-        return std::nullopt;
-    }
-    for (const double rps : spec.loads) {
-        if (rps <= 0.0) {
-            if (error != nullptr)
-                *error = "sweep json: \"loads\" entries must be > 0";
-            return std::nullopt;
-        }
-    }
-    if (spec.workload.durationSeconds <= 0.0) {
-        if (error != nullptr)
-            *error = "sweep json: \"workload.duration_s\" must be > 0";
-        return std::nullopt;
-    }
-    if (spec.workload.adapters < 0) {
-        // A negative count would silently run base-only and misread
-        // as a valid sweep with empty cache columns.
-        if (error != nullptr)
-            *error = "sweep json: \"workload.adapters\" must be >= 0 "
-                     "(0 = base-only workload)";
+            *error = "sweep json: " + problem;
         return std::nullopt;
     }
     return spec;
@@ -333,7 +335,6 @@ sweepFromJson(const std::string &text, std::string *error)
 workload::TraceGenConfig
 cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
 {
-    // An unknown preset (possible only from C++) keeps splitwise.
     workload::TracePreset preset = workload::TracePreset::Splitwise;
     sim::enumByName(spec.workload.preset, &preset);
     workload::TraceGenConfig wl = workload::presetConfig(preset);
@@ -364,6 +365,8 @@ expandSweep(const SweepSpec &spec, std::string *error)
             *error = message;
         return std::nullopt;
     };
+    if (const std::string problem = sweepProblem(spec); !problem.empty())
+        return fail("sweep: " + problem);
 
     // Resolve every axis before building any cell, so a bad name fails
     // once, naming its axis, rather than per cell.
@@ -396,7 +399,7 @@ expandSweep(const SweepSpec &spec, std::string *error)
     const std::vector<double> loads = orDefault(spec.loads, 8.0);
 
     // The deployment axis: either homogeneous replica counts or
-    // heterogeneous fleet presets (sweepFromJson rejects both at once;
+    // heterogeneous fleet presets (sweepProblem rejects both at once;
     // a fleet already fixes each cell's replica count and GPU mix).
     struct Deployment
     {
@@ -487,7 +490,12 @@ expandSweep(const SweepSpec &spec, std::string *error)
         s.fabric.migration = migrations[at[kMigration]];
         s.fabric.topology = topologies[at[kTopology]];
 
-        const auto problems = s.validate();
+        auto problems = s.validate();
+        const std::string load = workload::traceLoadProblem(
+            cellTraceConfig(spec, cell.rps, cell.traceSeed), "rps",
+            "\"workload.duration_s\"");
+        if (!load.empty())
+            problems.push_back(load);
         if (!problems.empty()) {
             std::ostringstream os;
             os << "sweep cell \"" << cell.system << "\" (rps " << cell.rps

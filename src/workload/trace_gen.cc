@@ -6,6 +6,7 @@
 
 #include "simkit/check.h"
 #include "simkit/distributions.h"
+#include "simkit/fields.h"
 
 namespace chameleon::workload {
 
@@ -79,6 +80,30 @@ applyTenantStorm(TraceGenConfig *config, double multiplier)
     config->stormMultiplier = multiplier;
     config->stormStartSeconds = 0.25 * config->durationSeconds;
     config->stormEndSeconds = 0.75 * config->durationSeconds;
+}
+
+std::string
+traceLoadProblem(const TraceGenConfig &config, const std::string &rpsKey,
+                 const std::string &durationKey)
+{
+    constexpr sim::Domain load = sim::positive();
+    constexpr sim::Domain span = sim::positive(sim::kMaxSpanSeconds);
+    if (!load.contains(config.rps))
+        return sim::domainError(rpsKey, load, sim::formatDouble(config.rps));
+    if (!span.contains(config.durationSeconds)) {
+        return sim::domainError(durationKey, span,
+                                sim::formatDouble(config.durationSeconds));
+    }
+    // Periodic bursts keep the mean rate; a storm raises one tenant's.
+    const double expected = config.rps * config.durationSeconds *
+                            std::max(1.0, config.stormMultiplier);
+    if (expected > kMaxTraceRequests) {
+        return rpsKey + " x " + durationKey + " expects up to " +
+               sim::formatDouble(expected) + " requests, above the " +
+               sim::formatDouble(kMaxTraceRequests) +
+               " a generated trace may hold";
+    }
+    return "";
 }
 
 TraceGenerator::TraceGenerator(TraceGenConfig config,

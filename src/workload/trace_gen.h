@@ -138,6 +138,25 @@ TraceGenConfig presetConfig(TracePreset preset);
  */
 void applyTenantStorm(TraceGenConfig *config, double multiplier);
 
+/**
+ * Most requests a generated trace may expect: 2^22 (about 4.2
+ * million). A run holds about 0.8 KB per request, so the cap keeps one
+ * within about 3 GB. The CLI and the sweep reject larger loads at the
+ * boundary; the generator itself takes whatever it is given.
+ */
+inline constexpr double kMaxTraceRequests = 1 << 22;
+
+/**
+ * Why `config` cannot be generated, or "": rps and durationSeconds
+ * must be finite and > 0, the duration at most sim::kMaxSpanSeconds,
+ * and the expected requests — rps x duration, times the storm
+ * multiplier when one is set — at most kMaxTraceRequests. The message
+ * names the load as `rpsKey` and the duration as `durationKey`.
+ */
+std::string traceLoadProblem(const TraceGenConfig &config,
+                             const std::string &rpsKey,
+                             const std::string &durationKey);
+
 /** Generates traces and assigns adapters per the configuration. */
 class TraceGenerator
 {

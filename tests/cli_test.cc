@@ -101,6 +101,34 @@ TEST(CliBoundary, RejectsZeroDuration)
     expectUsageError("--duration 0", "--duration");
 }
 
+TEST(CliBoundary, RejectsTraceLoadsBeyondTheRequestCap)
+{
+    // Each would grow the trace until the allocator gives up.
+    expectUsageError("--rps inf", "--rps");
+    expectUsageError("--rps nan", "--rps");
+    expectUsageError("--duration inf", "--duration");
+    expectUsageError("--rps 1e308", "--rps x --duration");
+    expectUsageError("--duration 1e12", "--duration");
+    expectUsageError("--rps 1e6 --duration 1e6", "--rps x --duration");
+    expectUsageError("--tenants 2 --tenant-storm inf", "--tenant-storm");
+}
+
+TEST(CliBoundary, RejectsNonFiniteSpecFlags)
+{
+    // NaN passes every "x < a || x > b" check; the domains reject it.
+    expectUsageError("--predictor-acc nan", "predictor.accuracy");
+    expectUsageError("--autoscale --autoscale-boot-ms nan",
+                     "cluster.autoscaler.boot_ms");
+    expectUsageError("--autoscale --autoscale-alpha nan",
+                     "cluster.autoscaler.measured_rate_alpha");
+}
+
+TEST(CliBoundary, RejectsModelsThatDoNotFitTheirGpus)
+{
+    expectUsageError("--model llama-70b --duration 5", "engine: llama-70b");
+    EXPECT_EQ(runSim("--model llama-70b --tp 4 --dump-config").exitCode, 0);
+}
+
 TEST(CliBoundary, RejectsNonPowerOfTwoTpFlag)
 {
     expectUsageError("--tp 3 --duration 5", "--tp");
@@ -108,10 +136,10 @@ TEST(CliBoundary, RejectsNonPowerOfTwoTpFlag)
 
 TEST(CliBoundary, RejectsNonPowerOfTwoTpInConfig)
 {
-    expectUsageError("--config - --duration 5", "engine.tpDegree",
+    expectUsageError("--config - --duration 5", "engine.tp_degree",
                      R"({"engine": {"tp_degree": 3}})");
     expectUsageError(
-        "--config - --duration 5", "cluster.replicaEngines[1].tpDegree",
+        "--config - --duration 5", "cluster.replicas[1].tp_degree",
         R"({"cluster": {"replicas": ["a40", {"tp_degree": 6}]}})");
 }
 

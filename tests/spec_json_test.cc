@@ -64,6 +64,15 @@ randomSpec(sim::Rng &rng)
     spec.engine.tpDegree = tpDegrees[rng.nextBelow(4)];
     spec.engine.workspacePerGpu =
         (1ll + static_cast<std::int64_t>(rng.nextBelow(8))) << 30;
+    // Raise the drawn TP until the model fits the smallest GPU drawn
+    // here or per replica (48 GiB) with room for the KV cache.
+    const auto fits = [&spec](std::int64_t tp) {
+        return tp * (48ll << 30) - spec.engine.model.weightsBytes() -
+                   tp * spec.engine.workspacePerGpu >=
+               spec.engine.model.kvBytesPerToken();
+    };
+    while (!fits(spec.engine.tpDegree))
+        spec.engine.tpDegree *= 2;
     spec.engine.maxNewTokens = 128 + static_cast<std::int64_t>(
                                          rng.nextBelow(1024));
     spec.engine.cost.loraIneff = 10.0 + rng.nextDouble() * 50.0;
@@ -99,7 +108,8 @@ randomSpec(sim::Rng &rng)
                                    : core::AdapterPolicy::OnDemand;
     }
 
-    spec.predictor.kind = rng.nextBelow(2) ? "bert" : "history";
+    spec.predictor.kind = rng.nextBelow(2) ? core::PredictorKind::Bert
+                                           : core::PredictorKind::History;
     spec.predictor.accuracy = rng.nextDouble();
     spec.predictor.seed = rng();
 
@@ -274,12 +284,14 @@ TEST(SpecJson, RejectsMalformedAutoscalerRealismKnobs)
     const auto negativeBoot = parseError(
         R"({"cluster": {"replicas": 2, "autoscale": true,)"
         R"( "autoscaler": {"boot_ms": -1}}})");
-    EXPECT_NE(negativeBoot.find("bootMs"), std::string::npos)
+    EXPECT_NE(negativeBoot.find("cluster.autoscaler.boot_ms"),
+              std::string::npos)
         << negativeBoot;
     const auto alpha = parseError(
         R"({"cluster": {"replicas": 2, "autoscale": true,)"
         R"( "autoscaler": {"measured_rate_alpha": 1.5}}})");
-    EXPECT_NE(alpha.find("measuredRateAlpha"), std::string::npos)
+    EXPECT_NE(alpha.find("cluster.autoscaler.measured_rate_alpha"),
+              std::string::npos)
         << alpha;
 }
 
@@ -586,7 +598,7 @@ TEST(SpecValidate, ReplicaOverridesMustMatchTheReplicaCount)
     spec.cluster.replicaEngines[1].tpDegree = 0;
     const auto tpErrors = spec.validate();
     ASSERT_EQ(tpErrors.size(), 1u);
-    EXPECT_NE(tpErrors[0].find("replicaEngines[1].tpDegree"),
+    EXPECT_NE(tpErrors[0].find("cluster.replicas[1].tp_degree"),
               std::string::npos)
         << tpErrors[0];
 }
@@ -771,73 +783,86 @@ TEST(SpecJson, DumpBytesArePinned)
 }
 
 // ---------------------------------------------------------------------
-// Field lists: print, parse and operator== all walk them, so a member
-// missing from its list would be skipped by all three at once and no
-// round trip could notice.
+// Field lists: print, parse, operator== and the domain checks all walk
+// them, so a member missing from its list would be skipped by all four
+// at once and no round trip could notice.
 // ---------------------------------------------------------------------
+
+namespace {
+
+/** T's list names `members` members, each numeric one with a domain. */
+template <typename T>
+void
+expectListed(std::size_t members)
+{
+    EXPECT_EQ(sim::fieldCount<T>(), members);
+    EXPECT_EQ(sim::undeclaredDomains<T>(), 0u);
+}
+
+} // namespace
 
 TEST(SpecFields, EveryMemberIsInItsFieldList)
 {
     // A structured binding compiles only with one name per member, so a
     // member added to a spec struct breaks this build until its count
     // here is raised; the count then fails until the member joins the
-    // struct's fields() list too.
+    // struct's fields() list too, with a domain if it is a number.
     {
         [[maybe_unused]] const auto &[a, b, c, d, e] = model::ModelSpec{};
-        EXPECT_EQ(sim::fieldCount<model::ModelSpec>(), 5u);
+        expectListed<model::ModelSpec>(5);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d, e, f] = model::GpuSpec{};
-        EXPECT_EQ(sim::fieldCount<model::GpuSpec>(), 6u);
+        expectListed<model::GpuSpec>(6);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i, j, k] =
             model::CostParams{};
-        EXPECT_EQ(sim::fieldCount<model::CostParams>(), 11u);
+        expectListed<model::CostParams>(11);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i, j, k, l, m] =
             serving::EngineConfig{};
-        EXPECT_EQ(sim::fieldCount<serving::EngineConfig>(), 13u);
+        expectListed<serving::EngineConfig>(13);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d, e, f, g] =
             core::SchedulerSpec{};
-        EXPECT_EQ(sim::fieldCount<core::SchedulerSpec>(), 7u);
+        expectListed<core::SchedulerSpec>(7);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d] = core::AdapterSpec{};
-        EXPECT_EQ(sim::fieldCount<core::AdapterSpec>(), 4u);
+        expectListed<core::AdapterSpec>(4);
     }
     {
         [[maybe_unused]] const auto &[a, b, c] = core::PredictorSpec{};
-        EXPECT_EQ(sim::fieldCount<core::PredictorSpec>(), 3u);
+        expectListed<core::PredictorSpec>(3);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d, e] = routing::RouterConfig{};
-        EXPECT_EQ(sim::fieldCount<routing::RouterConfig>(), 5u);
+        expectListed<routing::RouterConfig>(5);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h,
                                       i, j, k, l, m, n, o] =
             routing::AutoscalerConfig{};
-        EXPECT_EQ(sim::fieldCount<routing::AutoscalerConfig>(), 15u);
+        expectListed<routing::AutoscalerConfig>(15);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d, e, f] = core::ClusterSpec{};
-        EXPECT_EQ(sim::fieldCount<core::ClusterSpec>(), 6u);
+        expectListed<core::ClusterSpec>(6);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d] = core::TenancySpec{};
-        EXPECT_EQ(sim::fieldCount<core::TenancySpec>(), 4u);
+        expectListed<core::TenancySpec>(4);
     }
     {
         [[maybe_unused]] const auto &[a, b, c] = core::FabricSpec{};
-        EXPECT_EQ(sim::fieldCount<core::FabricSpec>(), 3u);
+        expectListed<core::FabricSpec>(3);
     }
     {
         [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i, j, k] =
             core::SystemSpec{};
-        EXPECT_EQ(sim::fieldCount<core::SystemSpec>(), 11u);
+        expectListed<core::SystemSpec>(11);
     }
 }

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -281,6 +282,66 @@ TEST(SweepJson, RejectsFleetsBesideReplicas)
     })");
     EXPECT_NE(error.find("fleets"), std::string::npos) << error;
     EXPECT_NE(error.find("conflicts"), std::string::npos) << error;
+}
+
+TEST(SweepExpand, ChecksASweepBuiltInCxxLikeAParsedOne)
+{
+    // expandSweep runs sweepFromJson's checks too, so none of these
+    // silently runs splitwise or drops an axis.
+    sweep::SweepSpec base;
+    base.systems = {"chameleon"};
+    base.workload.durationSeconds = 10.0;
+    std::string error;
+    ASSERT_TRUE(sweep::expandSweep(base, &error).has_value()) << error;
+
+    auto preset = base;
+    preset.workload.preset = "azure";
+    EXPECT_FALSE(sweep::expandSweep(preset, &error).has_value());
+    EXPECT_NE(error.find("workload.preset"), std::string::npos) << error;
+
+    auto popularity = base;
+    popularity.workload.adapterPopularity = "zipf";
+    EXPECT_FALSE(sweep::expandSweep(popularity, &error).has_value());
+    EXPECT_NE(error.find("workload.adapter_popularity"), std::string::npos)
+        << error;
+
+    auto both = base;
+    both.fleets = {"a40x2"};
+    both.replicas = {2};
+    EXPECT_FALSE(sweep::expandSweep(both, &error).has_value());
+    EXPECT_NE(error.find("conflicts"), std::string::npos) << error;
+
+    // JSON cannot spell these; C++ can.
+    auto nanLoad = base;
+    nanLoad.loads = {std::nan("")};
+    EXPECT_FALSE(sweep::expandSweep(nanLoad, &error).has_value());
+    EXPECT_NE(error.find("loads"), std::string::npos) << error;
+    auto endless = base;
+    endless.workload.durationSeconds = HUGE_VAL;
+    EXPECT_FALSE(sweep::expandSweep(endless, &error).has_value());
+    EXPECT_NE(error.find("workload.duration_s"), std::string::npos) << error;
+}
+
+TEST(SweepJson, RejectsTraceLoadsBeyondTheRequestCap)
+{
+    const auto longer = sweepError(
+        R"({"systems": ["slora"], "workload": {"duration_s": 2e9}})");
+    EXPECT_NE(longer.find("workload.duration_s"), std::string::npos)
+        << longer;
+    const auto big = sweepError(
+        R"({"systems": ["slora"], "loads": [1e6],)"
+        R"( "workload": {"duration_s": 1e6}})");
+    EXPECT_NE(big.find("loads"), std::string::npos) << big;
+    EXPECT_NE(big.find("workload.duration_s"), std::string::npos) << big;
+
+    // Per replica, the cell's load is what the cap bounds.
+    auto spec = parseSweep(R"({"systems": ["chameleon"], "loads": [3000],)"
+                           R"( "rps_per_replica": true, "replicas": [1, 2],)"
+                           R"( "workload": {"duration_s": 1000}})");
+    std::string error;
+    EXPECT_FALSE(sweep::expandSweep(spec, &error).has_value());
+    EXPECT_NE(error.find("workload.duration_s"), std::string::npos)
+        << error;
 }
 
 TEST(SweepExpand, UnknownFleetFailsTeachingTheGrammar)

@@ -13,9 +13,12 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "chameleon/cache_manager.h"
 #include "chameleon/mlq_scheduler.h"
+#include "chameleon/spec_json.h"
 #include "chameleon/system.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
@@ -317,7 +320,27 @@ TEST(SystemRegistry, GrammarComposesAxes)
     EXPECT_EQ(chunked.chunkTokens, 128);
 
     const auto history = registry.lookup("chameleon+history");
-    EXPECT_EQ(history.predictor.kind, "history");
+    EXPECT_EQ(history.predictor.kind, core::PredictorKind::History);
+}
+
+TEST(SystemRegistry, RejectsTwoModifiersOnOneAxis)
+{
+    // The later token would silently win under a name listing both.
+    const auto &registry = core::SystemRegistry::global();
+    for (const auto &[name, first, second] :
+         std::vector<std::tuple<std::string, std::string, std::string>>{
+             {"chameleon+wfq+drr", "+wfq", "+drr"},
+             {"chameleon+gdsf+lru", "+gdsf", "+lru"},
+             {"slora+prefetch+noprefetch", "+prefetch", "+noprefetch"},
+             {"chameleon+history+bert", "+history", "+bert"}}) {
+        std::string error;
+        EXPECT_FALSE(registry.find(name, &error).has_value()) << name;
+        EXPECT_NE(error.find(first), std::string::npos) << error;
+        EXPECT_NE(error.find(second), std::string::npos) << error;
+        EXPECT_NE(error.find("axis"), std::string::npos) << error;
+    }
+    // One token per axis still composes.
+    EXPECT_TRUE(registry.find("chameleon+drr+lru+prefetch").has_value());
 }
 
 TEST(SystemRegistry, UnknownNamesFailWithActionableErrors)
@@ -412,22 +435,21 @@ TEST(SpecValidation, RejectsNonPowerOfTwoTpDegree)
         EXPECT_TRUE(spec.validate().empty()) << tp;
     }
     spec.engine.tpDegree = 3;
-    EXPECT_TRUE(hasErrorContaining(spec, "engine.tpDegree"));
+    EXPECT_TRUE(hasErrorContaining(spec, "engine.tp_degree"));
     spec.engine.tpDegree = 1;
     spec.cluster.replicas = 2;
     spec.cluster.replicaEngines = {spec.engine, spec.engine};
     spec.cluster.replicaEngines[1].tpDegree = 6;
-    EXPECT_TRUE(hasErrorContaining(spec,
-                                   "cluster.replicaEngines[1].tpDegree"));
+    EXPECT_TRUE(hasErrorContaining(spec, "cluster.replicas[1].tp_degree"));
 }
 
 TEST(SpecValidation, RejectsNonPositiveChunkSize)
 {
     auto spec = core::presets::sloraChunked();
     spec.chunkTokens = 0;
-    EXPECT_TRUE(hasErrorContaining(spec, "non-positive chunk size"));
+    EXPECT_TRUE(hasErrorContaining(spec, "chunk_tokens must be > 0"));
     spec.chunkTokens = -64;
-    EXPECT_TRUE(hasErrorContaining(spec, "non-positive chunk size"));
+    EXPECT_TRUE(hasErrorContaining(spec, "chunk_tokens must be > 0"));
 }
 
 TEST(SpecValidation, RejectsPrefetchTopKWithoutPrefetch)
@@ -453,10 +475,15 @@ TEST(SpecValidation, RejectsEvictionWithoutCache)
 
 TEST(SpecValidation, RejectsBadPredictor)
 {
+    // The kind is an enum, so an unknown name fails at the parse.
+    std::string error;
+    EXPECT_FALSE(core::specFromJson(
+                     R"({"predictor": {"kind": "crystal-ball"}})", &error)
+                     .has_value());
+    EXPECT_NE(error.find("predictor.kind"), std::string::npos) << error;
+    EXPECT_NE(error.find("crystal-ball"), std::string::npos) << error;
+    EXPECT_NE(error.find("history"), std::string::npos) << error;
     auto spec = core::presets::chameleon();
-    spec.predictor.kind = "crystal-ball";
-    EXPECT_TRUE(hasErrorContaining(spec, "unknown predictor kind"));
-    spec.predictor.kind = "bert";
     spec.predictor.accuracy = 1.5;
     EXPECT_TRUE(hasErrorContaining(spec, "accuracy"));
 }
@@ -468,6 +495,43 @@ TEST(SpecValidation, RejectsBadAutoscalerBounds)
     spec.cluster.autoscaler.minReplicas = 4;
     spec.cluster.autoscaler.maxReplicas = 2;
     EXPECT_TRUE(hasErrorContaining(spec, "maxReplicas"));
+}
+
+TEST(SpecValidation, RejectsInvertedWatermarks)
+{
+    // The autoscaler constructor would abort on low >= high.
+    auto spec = core::presets::chameleon();
+    spec.cluster.autoscaler.lowWatermark = 30.0;
+    EXPECT_TRUE(spec.validate().empty()) << "inert while autoscale is off";
+    spec.cluster.autoscale = true;
+    EXPECT_TRUE(hasErrorContaining(spec, "cluster.autoscaler.low_watermark"));
+}
+
+TEST(SpecValidation, RejectsAModelThatDoesNotFitItsGpus)
+{
+    // 70B weights (140 GB) abort the engine on one 48 GiB A40.
+    auto spec = core::presets::chameleon();
+    spec.engine.model = model::llama70B();
+    spec.engine.gpu = model::a40();
+    EXPECT_TRUE(hasErrorContaining(spec, "engine: llama-70b weights"));
+    spec.engine.tpDegree = 4;
+    EXPECT_TRUE(spec.validate().empty());
+    // Each replica engine is checked on its own GPU.
+    spec.cluster.replicas = 2;
+    spec.cluster.replicaEngines = {spec.engine, spec.engine};
+    spec.cluster.replicaEngines[1].tpDegree = 1;
+    EXPECT_TRUE(hasErrorContaining(spec, "cluster.replicas[1]: llama-70b"));
+}
+
+TEST(SpecValidation, RejectsHardwareTooSlowForSimTime)
+{
+    // In its domain, but a transfer at this rate overflows SimTime.
+    auto spec = core::presets::chameleon();
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    ASSERT_TRUE(spec.validate().empty());
+    spec.engine.gpu.pcieBandwidth = 1e-300;
+    EXPECT_TRUE(hasErrorContaining(spec, "gpu.pcie_bandwidth"));
 }
 
 TEST(SpecValidation, RejectsMeasuredDemandWithoutMeasurement)
@@ -490,7 +554,7 @@ TEST(SpecValidation, CollectsEveryProblemAtOnce)
 {
     auto spec = core::presets::chameleon();
     spec.cluster.replicas = 0;
-    spec.predictor.kind = "nope";
+    spec.engine.tpDegree = 3;
     spec.adapters.prefetchTopK = 4;
     EXPECT_GE(spec.validate().size(), 3u);
 }

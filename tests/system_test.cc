@@ -204,7 +204,7 @@ TEST(SystemIntegration, HistoryPredictorVariantRuns)
 {
     Env env(8.0, 60.0);
     auto spec = env.spec("chameleon");
-    spec.predictor.kind = "history";
+    spec.predictor.kind = core::PredictorKind::History;
     const auto result = core::runSpec(spec, &env.pool, env.trace);
     EXPECT_EQ(result.stats.finished,
               static_cast<std::int64_t>(env.trace.size()));

@@ -469,7 +469,7 @@ TEST(TenancySpec, ValidateRejectsBadShapes)
     broken = spec;
     broken.tenancy.drrQuantumTokens = 0;
     EXPECT_NE(
-        joinErrors(broken.validate()).find("tenancy.drrQuantumTokens"),
+        joinErrors(broken.validate()).find("tenancy.drr_quantum_tokens"),
         std::string::npos);
 }
 

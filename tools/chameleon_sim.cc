@@ -43,6 +43,7 @@
  * and --workload shape only the generated trace.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -425,22 +426,33 @@ main(int argc, char **argv)
     const bool clusterRun =
         spec.cluster.replicas > 1 || spec.cluster.autoscale;
 
-    require(*tenant_storm >= 1.0,
-            "--tenant-storm must be >= 1 (1 disables the storm)");
+    require(*tenant_storm >= 1.0 && std::isfinite(*tenant_storm),
+            "--tenant-storm must be finite and >= 1 (1 disables the "
+            "storm)");
     require(*tenant_storm <= 1.0 || spec.tenancy.tenants > 1,
             "--tenant-storm needs more than one tenant (--tenants, or "
             "the config file's tenancy.tenants); a storm is one tenant "
             "bursting against the others");
-    require(*slo_multiplier >= 0.0,
-            "--slo-multiplier must be >= 0 (0 disables SLO reporting)");
+    require(*slo_multiplier >= 0.0 && std::isfinite(*slo_multiplier),
+            "--slo-multiplier must be finite and >= 0 (0 disables SLO "
+            "reporting)");
     require(*adapters >= 0 && *adapters <= kMaxInt,
             "--adapters must be within [0, 2^31) (0 = base only)");
-    workload::TracePreset preset{};
+    workload::TraceGenConfig wl;
     if (trace_in->empty()) {
         // Only a generated trace reads these.
-        require(*rps > 0.0, "--rps must be > 0");
-        require(*duration > 0.0, "--duration must be > 0");
+        workload::TracePreset preset{};
         parseEnumFlag("workload", *workload_name, &preset);
+        wl = workload::presetConfig(preset);
+        wl.rps = *rps;
+        wl.durationSeconds = *duration;
+        wl.numAdapters = static_cast<int>(*adapters);
+        wl.seed = static_cast<std::uint64_t>(*seed);
+        wl.numTenants = spec.tenancy.tenants;
+        workload::applyTenantStorm(&wl, *tenant_storm);
+        const std::string load =
+            workload::traceLoadProblem(wl, "--rps", "--duration");
+        require(load.empty(), load);
     }
 
     if (*dump_config) {
@@ -469,13 +481,6 @@ main(int argc, char **argv)
                         ", but --adapters is " + std::to_string(*adapters));
         }
     } else {
-        workload::TraceGenConfig wl = workload::presetConfig(preset);
-        wl.rps = *rps;
-        wl.durationSeconds = *duration;
-        wl.numAdapters = static_cast<int>(*adapters);
-        wl.seed = static_cast<std::uint64_t>(*seed);
-        wl.numTenants = spec.tenancy.tenants;
-        workload::applyTenantStorm(&wl, *tenant_storm);
         workload::TraceGenerator gen(wl, pool.get());
         trace = gen.generate();
     }
