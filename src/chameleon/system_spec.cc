@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+
+#include "model/adapter.h"
 
 namespace chameleon::core {
 
@@ -154,21 +157,25 @@ namespace {
 
 /**
  * The rules across one engine's leaves, checked once its hardware is
- * chosen and every leaf lies in its domain (so the products below fit
- * int64 and the quotients are finite):
+ * chosen and none of the first `domainErrors` errors names a leaf under
+ * `key` (so the products below fit int64 and the quotients are finite):
  *  - the weights plus a workspace per GPU fit the TP group's memory
  *    (gpu_memory.cc), with room for one KV token under MLQ (system.cc);
- *  - a full-context prefill, a decode step over it and a cold-start
- *    weight load each take at most sim::kMaxSpanSeconds, so the cost
- *    model's times fit SimTime.
+ *  - a request at the longest context and largest paper rank, served
+ *    alone, and a cold-start weight load each take at most
+ *    sim::kMaxSpanSeconds, so isolated latencies fit SimTime (time.h).
  */
 void
 checkEngine(const std::string &key, const serving::EngineConfig &engine,
-            bool mlq, std::vector<std::string> *errors)
+            bool mlq, std::size_t domainErrors,
+            std::vector<std::string> *errors)
 {
-    std::vector<std::string> leafErrors;
-    sim::checkDomains(engine, &leafErrors);
-    if (!hasHardware(engine) || !leafErrors.empty())
+    const std::string under = key + ".";
+    for (std::size_t i = 0; i < domainErrors; ++i) {
+        if ((*errors)[i].compare(0, under.size(), under) == 0)
+            return;
+    }
+    if (!hasHardware(engine))
         return;
     const model::ModelSpec &m = engine.model;
     const std::int64_t tp = engine.tpDegree;
@@ -188,23 +195,31 @@ checkEngine(const std::string &key, const serving::EngineConfig &engine,
         os << "; raise tp_degree or pick a larger GPU";
         errors->push_back(os.str());
     }
-    const model::CostModel cost(m, engine.gpu, engine.tpDegree, engine.cost);
+    // cost_model.cc's terms at the longest context and largest rank.
+    const model::CostParams &p = engine.cost;
+    const model::CostModel cost(m, engine.gpu, engine.tpDegree, p);
     const double context = static_cast<double>(model::kMaxContextTokens);
-    const double prefill = context * m.flopsPerToken() / cost.effectiveFlops();
+    const double rank = model::paperRanks().back();
+    const double lora = 2.0 * rank * m.layers * m.loraDimsPerLayer();
+    const double prefill = (p.prefillFixedMs + p.mbgmmFixedMs) * 1e-3 +
+                           context * (m.flopsPerToken() + p.loraIneff * lora) /
+                               cost.effectiveFlops();
     const double weights = static_cast<double>(m.weightsBytes());
     const double decode =
+        (p.decodeFixedMs + p.mbgmvFixedMs) * 1e-3 +
+        (p.decodeReqUs + p.decodeRankUs * rank) * 1e-6 +
         (weights + context * static_cast<double>(m.kvBytesPerToken())) /
-        cost.effectiveMemBandwidth();
+            cost.effectiveMemBandwidth();
     const double load = weights / engine.gpu.pcieBandwidth;
-    if (std::max({prefill, decode, load}) > sim::kMaxSpanSeconds) {
+    if (std::max(prefill + context * decode, load) > sim::kMaxSpanSeconds) {
         std::ostringstream os;
         os << key << ": a " << model::kMaxContextTokens
-           << "-token context takes " << prefill << " s to prefill and "
+           << "-token request takes " << prefill << " s to prefill and "
            << decode << " s per decode step, and a cold start loads the "
-           << "weights in " << load << " s, beyond the "
-           << sim::kMaxSpanSeconds << " s a span may last; raise "
-           << "gpu.fp16_flops, gpu.mem_bandwidth, gpu.pcie_bandwidth or "
-           << "the cost utilisations";
+           << "weights in " << load << " s; the request or the load takes "
+           << "longer than the " << sim::kMaxSpanSeconds << " s a span "
+           << "may last; lower the cost times or raise gpu.fp16_flops, "
+           << "gpu.mem_bandwidth, gpu.pcie_bandwidth or the utilisations";
         errors->push_back(os.str());
     }
 }
@@ -216,14 +231,15 @@ SystemSpec::validate() const
 {
     std::vector<std::string> errors;
     sim::checkDomains(*this, &errors);
+    const std::size_t domainErrors = errors.size();
     auto err = [&errors](const std::ostringstream &os) {
         errors.push_back(os.str());
     };
     const bool mlq = scheduler.policy == SchedulerPolicy::Mlq;
-    checkEngine("engine", engine, mlq, &errors);
+    checkEngine("engine", engine, mlq, domainErrors, &errors);
     for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i) {
         checkEngine("cluster.replicas[" + std::to_string(i) + "]",
-                    cluster.replicaEngines[i], mlq, &errors);
+                    cluster.replicaEngines[i], mlq, domainErrors, &errors);
     }
     if (!cluster.replicaEngines.empty() &&
         static_cast<int>(cluster.replicaEngines.size()) !=
@@ -266,23 +282,17 @@ SystemSpec::validate() const
            << adapterPolicyName(adapters.policy) << ")";
         err(os);
     }
-    if (!tenancy.weights.empty() &&
-        static_cast<int>(tenancy.weights.size()) != tenancy.tenants) {
-        std::ostringstream os;
-        os << "tenancy.weights has " << tenancy.weights.size()
-           << " entries but tenancy.tenants = " << tenancy.tenants
-           << "; give one weight per tenant (or clear the list for "
-           << "equal weights)";
-        err(os);
-    }
-    if (!tenancy.sloMultipliers.empty() &&
-        static_cast<int>(tenancy.sloMultipliers.size()) !=
-            tenancy.tenants) {
-        std::ostringstream os;
-        os << "tenancy.sloMultipliers has " << tenancy.sloMultipliers.size()
-           << " entries but tenancy.tenants = " << tenancy.tenants
-           << "; give one multiplier per tenant (or clear the list)";
-        err(os);
+    for (const auto &[key, list] :
+         {std::pair{"weights", &tenancy.weights},
+          std::pair{"slo_multipliers", &tenancy.sloMultipliers}}) {
+        if (!list->empty() &&
+            static_cast<int>(list->size()) != tenancy.tenants) {
+            std::ostringstream os;
+            os << "tenancy." << key << " has " << list->size()
+               << " entries but tenancy.tenants = " << tenancy.tenants
+               << "; give one per tenant (or clear the list for all 1.0)";
+            err(os);
+        }
     }
     if (fabricEnabled() &&
         adapters.policy != AdapterPolicy::ChameleonCache) {

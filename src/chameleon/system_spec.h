@@ -149,7 +149,7 @@ struct SchedulerSpec
     {
         v.field("policy", &SchedulerSpec::policy);
         v.field("sjf_aging_per_second", &SchedulerSpec::sjfAgingPerSecond,
-                sim::nonNegative());
+                sim::finite());
         // MLQ quota assignment divides by it.
         v.field("slo_seconds", &SchedulerSpec::sloSeconds,
                 sim::positive(sim::kMaxSpanSeconds));

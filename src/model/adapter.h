@@ -34,7 +34,7 @@ struct AdapterSpec
 /** Adapter byte footprint for a rank on a given base model. */
 std::int64_t adapterBytes(const ModelSpec &model, int rank);
 
-/** The rank set used throughout the paper's evaluation. */
+/** The rank set used throughout the paper's evaluation, ascending. */
 const std::vector<int> &paperRanks();
 
 /**

@@ -199,9 +199,8 @@ struct RouterConfig
         v.field("virtual_nodes", &RouterConfig::virtualNodes,
                 sim::positive());
         v.field("spill_load_factor", &RouterConfig::spillLoadFactor,
-                sim::nonNegative());
-        v.field("spill_margin", &RouterConfig::spillMargin,
-                sim::nonNegative());
+                sim::finite());
+        v.field("spill_margin", &RouterConfig::spillMargin, sim::finite());
         v.field("slo_admission", &RouterConfig::sloAdmission);
     }
 };

@@ -9,6 +9,8 @@ namespace chameleon::sim {
 std::string
 Domain::describe() const
 {
+    if (std::isinf(lo))
+        return "finite";
     const std::string low = formatDouble(lo);
     if (powerOfTwo)
         return "a power of two within [" + low + ", " + formatDouble(hi) +

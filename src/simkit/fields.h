@@ -86,6 +86,11 @@ std::string formatDouble(double value);
 std::string domainError(const std::string &path, const Domain &domain,
                         const std::string &got);
 
+/** Any finite value (any value at all for an integer). */
+constexpr Domain finite()
+{
+    return {-kNoBound, kNoBound, false, false};
+}
 /** > 0 (for integers, >= 1), and at most `hi`. */
 constexpr Domain positive(double hi = kNoBound)
 {
@@ -106,13 +111,6 @@ constexpr Domain powerOfTwo(double hi)
 {
     return {1.0, hi, false, true};
 }
-
-/**
- * Longest span a spec may declare, in seconds (~31.7 years): as
- * microseconds it is 1e15, so the clock plus thousands of such spans
- * still fits SimTime.
- */
-inline constexpr double kMaxSpanSeconds = 1e9;
 
 namespace detail {
 
@@ -157,31 +155,21 @@ template <typename T>
 struct FieldCount
 {
     std::size_t count = 0;
-    /** Numeric members in entries without a domain. */
-    std::size_t undeclared = 0;
 
     template <typename... E>
-    void field(const char *, E... entry)
+    void field(const char *, E...)
     {
         count += (0 + ... + !std::is_same_v<E, Domain>);
-        if constexpr (!(std::is_same_v<E, Domain> || ...))
-            undeclared += (0 + ... + numeric(entry));
     }
     template <typename... E>
     void seconds(const char *key, E... entry)
     {
         field(key, entry...);
     }
-    template <typename M>
-    void seed(const char *, M T::*)
+    template <typename... E>
+    void seed(const char *key, E... entry)
     {
-        ++count; // its domain is the full uint64 range
-    }
-
-    template <typename M>
-    static constexpr int numeric(M T::*)
-    {
-        return kNumeric<M> ? 1 : 0;
+        field(key, entry...);
     }
 };
 
@@ -273,29 +261,20 @@ fieldCount()
     return visitor.count;
 }
 
-/** Numeric members T's list names without a domain: 0 for a spec struct. */
-template <typename T>
-std::size_t
-undeclaredDomains()
-{
-    detail::FieldCount<T> visitor;
-    T::fields(visitor);
-    return visitor.undeclared;
-}
-
 /**
  * Call f(path, value, domain) for every numeric leaf of `obj`, nested
  * structs and per-replica engines included. `path` is the dotted JSON
  * key ("cluster.replicas[1].tp_degree"), `value` the member (a SimTime
- * as seconds, each array element on its own).
+ * as seconds, each array element on its own). With `skipDefaults`, a
+ * nested struct still at its default is skipped with its leaves.
  */
 template <typename T, typename F>
 void
-walkDomains(const T &obj, F &&f)
+walkDomains(const T &obj, F &&f, bool skipDefaults = false)
 {
     const std::string root;
     detail::DomainWalk<T, std::remove_reference_t<F>> walk{obj, root, f,
-                                                           false};
+                                                           skipDefaults};
     T::fields(walk);
 }
 
@@ -310,16 +289,15 @@ template <typename T>
 void
 checkDomains(const T &obj, std::vector<std::string> *errors)
 {
-    auto check = [errors](const std::string &path, auto value,
-                          const Domain &domain) {
-        if (!domain.contains(value)) {
-            errors->push_back(
-                domainError(path, domain, detail::formatValue(value)));
-        }
-    };
-    const std::string root;
-    detail::DomainWalk<T, decltype(check)> walk{obj, root, check, true};
-    T::fields(walk);
+    walkDomains(
+        obj,
+        [errors](const std::string &path, auto value, const Domain &domain) {
+            if (!domain.contains(value)) {
+                errors->push_back(
+                    domainError(path, domain, detail::formatValue(value)));
+            }
+        },
+        true);
 }
 
 } // namespace chameleon::sim

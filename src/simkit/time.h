@@ -28,6 +28,25 @@ constexpr SimTime kMsec = 1000;
 /** One second in SimTime units. */
 constexpr SimTime kSec = 1000 * 1000;
 
+/**
+ * Longest span an input may declare, in seconds (~31.7 years): a trace
+ * duration or arrival, a period, a load, or one request served alone
+ * from its first prefill token to its last decode step. As SimTime it
+ * is 1e15, a ten-thousandth of the int64 range, and no run sums more
+ * than a few such spans into one time:
+ *  - a run dispatches no event past the trace's end plus its drain
+ *    window (chameleon/system.cc), so the clock stays within about one
+ *    span, and an event scheduled from there lies one iteration, load
+ *    or period further;
+ *  - a request's isolated latency (serving/slo.cc) sums its prefill and
+ *    every decode step, which SystemSpec::validate() bounds together by
+ *    one span at the longest context (model::kMaxContextTokens, 2^20
+ *    tokens). A one-request iteration so lasts at most 2^-20 spans, and
+ *    one over every request a generated trace may hold
+ *    (workload::kMaxTraceRequests, 2^22) at most a few spans.
+ */
+inline constexpr double kMaxSpanSeconds = 1e9;
+
 /** Convert floating-point seconds to SimTime (rounds to nearest usec). */
 constexpr SimTime
 fromSeconds(double s)

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "simkit/check.h"
+#include "simkit/time.h"
 
 namespace chameleon::workload {
 
@@ -107,6 +108,10 @@ parseRow(std::string_view line, Request *r)
     }
     if (r->arrival < 0)
         return "arrival_us must be >= 0";
+    if (r->arrival > sim::fromSeconds(sim::kMaxSpanSeconds)) {
+        return "arrival_us must be <= " +
+               std::to_string(sim::fromSeconds(sim::kMaxSpanSeconds));
+    }
     if (r->inputTokens < 1)
         return "input_tokens must be >= 1";
     if (r->outputTokens < 1)

@@ -45,8 +45,8 @@ class Trace
      * reason: an unreadable file, a field that is not a whole integer,
      * a wrong column count, token counts below 1 or summing above
      * model::kMaxContextTokens, a negative arrival, adapter or tenant,
-     * an arrival earlier than the row before, or a repeated id. Never
-     * aborts.
+     * an arrival past sim::kMaxSpanSeconds or earlier than the row
+     * before, or a repeated id. Never aborts.
      */
     static bool tryLoadCsv(const std::string &path, Trace *out,
                            std::string *error);

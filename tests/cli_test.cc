@@ -237,6 +237,14 @@ TEST(CliBoundary, RejectsTraceContextsBeyondTheMaximum)
         "overflow.csv:3: input_tokens + output_tokens must be <= 1048576");
 }
 
+TEST(CliBoundary, RejectsTraceArrivalsBeyondTheLongestSpan)
+{
+    // Near the int64 limit the clock would overflow past the arrival.
+    expectUsageError(
+        "--trace " + traceFile("far.csv", "0,9223372036854775000,16,4,-1\n"),
+        "far.csv:2: arrival_us must be <= 1000000000000000");
+}
+
 TEST(CliBoundary, RejectsNonMonotoneTraceArrivals)
 {
     expectUsageError(

@@ -9,7 +9,10 @@
  *
  * Children run the built binary (CHAMELEON_SIM_BIN, set by CMake) a few
  * at a time, each under a CPU-time cap and an address-space limit set
- * by setrlimit in the child only, and a wall-clock alarm.
+ * by setrlimit in the child only, and a wall-clock alarm. Under
+ * AddressSanitizer, which needs a vast address space for its shadow
+ * memory, the sanitizer's own resident-set limit replaces the
+ * address-space one.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +21,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -55,7 +60,19 @@ struct Result
 
 constexpr rlim_t kCpuSeconds = 10;
 constexpr unsigned kWallSeconds = 20;
+#if defined(__SANITIZE_ADDRESS__)
+#define CHM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CHM_ASAN 1
+#endif
+#endif
+
+#ifdef CHM_ASAN
+constexpr const char *kAsanRssLimit = "hard_rss_limit_mb=1024";
+#else
 constexpr rlim_t kAddressSpace = rlim_t{1} << 30;
+#endif
 constexpr int kParallel = 3;
 
 std::string
@@ -77,14 +94,27 @@ spawn(const Case &c, const std::string &configPath,
         args.insert(args.end(), {"--config", configPath});
     }
     args.insert(args.end(), c.args.begin(), c.args.end());
+#ifdef CHM_ASAN
+    // AddressSanitizer reserves terabytes of shadow address space at
+    // startup, which an address-space limit forbids; the child caps its
+    // resident set through the sanitizer instead.
+    const char *options = std::getenv("ASAN_OPTIONS");
+    const std::string asan = options != nullptr && *options != '\0'
+                                 ? std::string(options) + ":" + kAsanRssLimit
+                                 : std::string(kAsanRssLimit);
+#endif
     const pid_t pid = fork();
     if (pid != 0)
         return pid;
     // Child: limits first, so they hold from the first instruction.
     const rlimit cpu{kCpuSeconds, kCpuSeconds};
-    const rlimit as{kAddressSpace, kAddressSpace};
     setrlimit(RLIMIT_CPU, &cpu);
+#ifdef CHM_ASAN
+    setenv("ASAN_OPTIONS", asan.c_str(), 1);
+#else
+    const rlimit as{kAddressSpace, kAddressSpace};
     setrlimit(RLIMIT_AS, &as);
+#endif
     alarm(kWallSeconds); // survives exec: a wall-clock cap
     const int null = open("/dev/null", O_RDWR);
     const int err = open(errPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
@@ -418,4 +448,33 @@ TEST(SpecMutation, EveryPresetModelGpuTpExitsCleanly)
         }
     }
     expectCleanExits(cases);
+}
+
+TEST(SpecMutation, LongestRequestsExitCleanly)
+{
+    // A request served alone must fit one span (simkit/time.h). At
+    // max_running 1 every decode step is an iteration of its own; the
+    // default llama-7b on an A40 spends about 1e6 s on a 2^20-token
+    // request, leaving about 950 s per decode step for the fixed costs.
+    const std::vector<std::pair<std::string, int>> costs = {
+        {R"("decode_fixed_ms": 9e5)", 0},
+        {R"("decode_fixed_ms": 1e6)", 2},
+        {R"("decode_fixed_ms": 1e12)", 2},
+        {R"("decode_rank_us": 1e15)", 2},
+        {R"("prefill_fixed_ms": 9e11)", 0},
+        {R"("prefill_fixed_ms": 1e12)", 2},
+    };
+    std::vector<Case> cases;
+    for (const auto &[cost, exitCode] : costs) {
+        cases.push_back({cost,
+                         {"--rps", "8", "--duration", "60"},
+                         R"({"engine": {"max_running": 1, "cost": {)" + cost +
+                             "}}}"});
+    }
+    const auto results = runAll(cases);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(results[i].exitCode, costs[i].second)
+            << cases[i].label << "\n"
+            << results[i].stderrTail;
+    }
 }
