@@ -431,6 +431,64 @@ TEST(SweepExpansion, CellsArePinned)
         << "a pinned example sweep is missing";
 }
 
+TEST(SweepExpansion, TraceConfigsArePinned)
+{
+    // Every distinct trace-generator configuration of every committed
+    // example sweep: the workload keys reach the traces only through
+    // cellTraceConfig, which CellsArePinned does not see.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"autoscale_step.json", 0xa647d589f1d6747bull},
+        {"ci_smoke.json", 0x7e378a6a55556cf5ull},
+        {"fabric_smoke.json", 0xed50ae13c69548ffull},
+        {"fig17_policy_grid.json", 0x06ca16764db1a81aull},
+        {"hetero_fleet.json", 0x3f3880a599246664ull},
+        {"minimal.json", 0xa658268048c846e9ull},
+        {"noisy_neighbour.json", 0x89fca754c6c5054dull},
+    };
+    std::set<std::string> seen;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(CHAMELEON_SWEEPS_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        const std::string file = entry.path().filename().string();
+        seen.insert(file);
+        std::ifstream in(entry.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        std::string error;
+        const auto spec = sweep::sweepFromJson(text.str(), &error);
+        ASSERT_TRUE(spec.has_value()) << file << ": " << error;
+        const auto cells = sweep::expandSweep(*spec, &error);
+        ASSERT_TRUE(cells.has_value()) << file << ": " << error;
+        std::set<std::size_t> traces;
+        std::ostringstream flat;
+        flat.precision(17);
+        for (const auto &cell : *cells) {
+            if (!traces.insert(cell.traceIndex).second)
+                continue;
+            const auto wl =
+                sweep::cellTraceConfig(*spec, cell.rps, cell.traceSeed);
+            flat << wl.rps << ' ' << wl.durationSeconds << ' '
+                 << wl.numAdapters << ' '
+                 << static_cast<int>(wl.rankPopularity) << ' '
+                 << static_cast<int>(wl.adapterPopularity) << ' '
+                 << wl.burstMultiplier << ' ' << wl.burstPeriodSeconds
+                 << ' ' << wl.burstDurationSeconds << ' ' << wl.numTenants
+                 << ' ' << wl.stormTenant << ' ' << wl.stormMultiplier
+                 << ' ' << wl.stormStartSeconds << ' '
+                 << wl.stormEndSeconds << ' ' << wl.seed << '\n';
+        }
+        const std::uint64_t hash = core::fnv1a64(flat.str());
+        const auto it = pinned.find(file);
+        EXPECT_TRUE(it != pinned.end() && it->second == hash)
+            << "trace configs of " << file
+            << " changed or are not pinned: {\"" << file << "\", 0x"
+            << std::hex << hash << "ull},";
+    }
+    EXPECT_EQ(seen.size(), pinned.size())
+        << "a pinned example sweep is missing";
+}
+
 // ---------------------------------------------------------------------
 // Determinism.
 // ---------------------------------------------------------------------
