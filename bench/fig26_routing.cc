@@ -41,10 +41,15 @@ gridSpec(bool skewed)
     sw.loads = {kRpsPerReplica};
     sw.rpsPerReplica = true;
     sw.replicas = {2, 4};
-    sw.routers = {"rr", "jsq", "p2c", "affinity", "affinity-cache"};
+    using routing::RouterPolicy;
+    sw.routers = {RouterPolicy::RoundRobin, RouterPolicy::JoinShortestQueue,
+                  RouterPolicy::PowerOfTwoChoices,
+                  RouterPolicy::AdapterAffinity,
+                  RouterPolicy::AdapterAffinityCacheAware};
     sw.workload.durationSeconds = kTraceSeconds;
     sw.workload.adapters = 200;
-    sw.workload.adapterPopularity = skewed ? "powerlaw" : "uniform";
+    sw.workload.adapterPopularity = skewed ? workload::Popularity::PowerLaw
+                                           : workload::Popularity::Uniform;
     sw.engine.model = model::llama7B();
     sw.engine.gpu = model::a40();
     return sw;
@@ -107,14 +112,14 @@ main()
     autoscaleGrid.systems = {"chameleon"};
     autoscaleGrid.loads = {2.0 * kRpsPerReplica};
     autoscaleGrid.replicas = {2};
-    autoscaleGrid.routers = {"affinity"};
+    autoscaleGrid.routers = {routing::RouterPolicy::AdapterAffinity};
     autoscaleGrid.autoscale = {false, true};
     autoscaleGrid.autoscaler.minReplicas = 2;
     autoscaleGrid.autoscaler.maxReplicas = 6;
     autoscaleGrid.autoscaler.replicaServiceRps = kRpsPerReplica;
     autoscaleGrid.workload.durationSeconds = kTraceSeconds;
     autoscaleGrid.workload.adapters = 200;
-    autoscaleGrid.workload.adapterPopularity = "powerlaw";
+    autoscaleGrid.workload.adapterPopularity = workload::Popularity::PowerLaw;
     autoscaleGrid.workload.burstMultiplier = 4.0; // §3.1 bursty arrivals
     autoscaleGrid.workload.burstPeriodSeconds = 60.0;
     autoscaleGrid.workload.burstDurationSeconds = 15.0;

@@ -45,10 +45,13 @@ gridSpec()
     sw.systems = {"chameleon"};
     sw.loads = {kTotalRps};
     sw.fleets = {"a40x4", "a100-48x2+a40x2", "a100-48x4"};
-    sw.routers = {"rr", "jsq", "p2c", "affinity-cache"};
+    using routing::RouterPolicy;
+    sw.routers = {RouterPolicy::RoundRobin, RouterPolicy::JoinShortestQueue,
+                  RouterPolicy::PowerOfTwoChoices,
+                  RouterPolicy::AdapterAffinityCacheAware};
     sw.workload.durationSeconds = kTraceSeconds;
     sw.workload.adapters = 200;
-    sw.workload.adapterPopularity = "powerlaw";
+    sw.workload.adapterPopularity = workload::Popularity::PowerLaw;
     sw.engine.model = model::llama7B();
     sw.engine.gpu = model::a40();
     return sw;

@@ -245,41 +245,42 @@ SystemSpec::validate() const
         static_cast<int>(cluster.replicaEngines.size()) !=
             cluster.replicas) {
         std::ostringstream os;
-        os << "cluster.replicaEngines has "
-           << cluster.replicaEngines.size() << " per-replica overrides "
-           << "but cluster.replicas = " << cluster.replicas
-           << "; give exactly one override per replica (or clear the "
-           << "list for a homogeneous fleet)";
+        os << "cluster.replicas lists " << cluster.replicaEngines.size()
+           << " per-replica engines for " << cluster.replicas
+           << " replicas; give exactly one override per replica (or an "
+           << "integer count for a homogeneous fleet)";
         err(os);
     }
     if (adapters.predictivePrefetch && adapters.prefetchTopK == 0) {
         std::ostringstream os;
-        os << "predictive prefetch enabled with prefetchTopK = 0; set "
-           << "adapters.prefetchTopK (paper uses 8)";
+        os << "adapters.predictive_prefetch is true with "
+           << "adapters.prefetch_top_k = 0; set adapters.prefetch_top_k "
+           << "(paper uses 8)";
         err(os);
     }
     if (!adapters.predictivePrefetch && adapters.prefetchTopK > 0) {
         std::ostringstream os;
-        os << "adapters.prefetchTopK = " << adapters.prefetchTopK
+        os << "adapters.prefetch_top_k = " << adapters.prefetchTopK
            << " without prefetch enabled; set "
-           << "adapters.predictivePrefetch = true (or clear prefetchTopK)";
+           << "adapters.predictive_prefetch to true (or prefetch_top_k "
+           << "to 0)";
         err(os);
     }
     if (adapters.predictivePrefetch &&
         adapters.policy != AdapterPolicy::ChameleonCache) {
         std::ostringstream os;
-        os << "predictive prefetch requires the chameleon cache; set "
-           << "adapters.policy = AdapterPolicy::ChameleonCache (got "
-           << adapterPolicyName(adapters.policy) << ")";
+        os << "adapters.predictive_prefetch requires the chameleon "
+           << "cache; set adapters.policy to \"chameleon-cache\" (got \""
+           << adapterPolicyName(adapters.policy) << "\")";
         err(os);
     }
     if (adapters.eviction != EvictionKind::Paper &&
         adapters.policy != AdapterPolicy::ChameleonCache) {
         std::ostringstream os;
-        os << "eviction policy '" << evictionPolicyName(adapters.eviction)
-           << "' requires the chameleon cache; set adapters.policy = "
-           << "AdapterPolicy::ChameleonCache (got "
-           << adapterPolicyName(adapters.policy) << ")";
+        os << "adapters.eviction \"" << evictionPolicyName(adapters.eviction)
+           << "\" requires the chameleon cache; set adapters.policy to "
+           << "\"chameleon-cache\" (got \""
+           << adapterPolicyName(adapters.policy) << "\")";
         err(os);
     }
     for (const auto &[key, list] :
@@ -297,21 +298,21 @@ SystemSpec::validate() const
     if (fabricEnabled() &&
         adapters.policy != AdapterPolicy::ChameleonCache) {
         std::ostringstream os;
-        os << "the cache fabric (migration '"
+        os << "the cache fabric (fabric.migration \""
            << fabric::migrationPolicyName(fabric.migration)
-           << "', router '" << routing::routerPolicyName(cluster.router)
-           << "') needs residency callbacks only the chameleon cache "
-           << "reports; set adapters.policy = "
-           << "AdapterPolicy::ChameleonCache (got "
-           << adapterPolicyName(adapters.policy) << ")";
+           << "\", cluster.router \""
+           << routing::routerPolicyName(cluster.router)
+           << "\") needs residency callbacks only the chameleon cache "
+           << "reports; set adapters.policy to \"chameleon-cache\" (got \""
+           << adapterPolicyName(adapters.policy) << "\")";
         err(os);
     }
     if (cluster.autoscale) {
         const auto &as = cluster.autoscaler;
         if (as.maxReplicas < as.minReplicas) {
             std::ostringstream os;
-            os << "autoscaler.maxReplicas (" << as.maxReplicas
-               << ") must be >= minReplicas (" << as.minReplicas << ")";
+            os << "cluster.autoscaler.max_replicas (" << as.maxReplicas
+               << ") must be >= min_replicas (" << as.minReplicas << ")";
             err(os);
         }
         if (as.lowWatermark >= as.highWatermark) {
@@ -325,8 +326,8 @@ SystemSpec::validate() const
         if (as.demandSource == routing::DemandSource::Measured &&
             as.measuredRateAlpha <= 0.0) {
             std::ostringstream os;
-            os << "autoscaler.demandSource 'measured' needs "
-               << "measuredRateAlpha > 0 — without the per-replica "
+            os << "cluster.autoscaler.demand_source \"measured\" needs "
+               << "measured_rate_alpha > 0 — without the per-replica "
                << "EWMAs the capacity signals silently degrade to the "
                << "nominal rates; set measured_rate_alpha (or keep "
                << "demand_source 'nominal')";

@@ -26,7 +26,16 @@ sim::SimTime meanIsolatedE2e(const workload::Trace &trace,
                              const model::CostModel &cost,
                              const model::AdapterPool *pool);
 
-/** Paper SLO: multiplier (default 5) times the mean isolated latency. */
+/**
+ * Largest SLO multiplier: a mean isolated latency is at most one span
+ * (sim::kMaxSpanSeconds, validate() bounds every request by it), so
+ * 9000 of them stay below 9e18 microseconds, inside SimTime.
+ */
+inline constexpr double kMaxSloMultiplier =
+    9e18 / (sim::kMaxSpanSeconds * static_cast<double>(sim::kSec));
+
+/** Paper SLO: multiplier (default 5) times the mean isolated latency,
+ * for a multiplier within [0, kMaxSloMultiplier]. */
 sim::SimTime computeSlo(const workload::Trace &trace,
                         const model::CostModel &cost,
                         const model::AdapterPool *pool,

@@ -16,13 +16,19 @@
  *   }
  *
  * Member pointers read const and non-const objects alike and pair up
- * two objects, so the one list drives the spec JSON printer and parser
- * (chameleon/spec_json.cc), fieldsEqual and checkDomains below. A
+ * two objects, so the one list drives the spec JSON printer and the
+ * JSON reader of specs and sweeps (chameleon/spec_json.h), fieldsEqual
+ * and checkDomains below. A
  * visitor implements every entry kind a list may use:
  *
- *   field(key, &T::m)            a string, bool, enum or nested struct;
- *   field(key, &T::m, domain)    a number, or an array of numbers whose
- *                                every element lies in the domain;
+ *   field(key, &T::m)            a string, bool, enum or nested struct,
+ *                                or a vector or optional of one;
+ *   field(key, &T::m, domain)    a number, or a vector or optional of
+ *                                numbers whose every element lies in
+ *                                the domain;
+ *   axis(key, &T::m[, domain])   as field, for a vector that must not
+ *                                be given empty, nor any vector in it
+ *                                (a sweep axis: omitted means default);
  *   field(key, &T::a, &T::b, d)  a count and its engine list behind
  *                                one JSON key (the count in domain d);
  *   seconds(key, &T::m, domain)  a SimTime, written as seconds;
@@ -39,8 +45,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simkit/time.h"
@@ -112,12 +120,22 @@ constexpr Domain powerOfTwo(double hi)
     return {1.0, hi, false, true};
 }
 
+template <typename T>
+bool fieldsEqual(const T &a, const T &b);
+
 namespace detail {
 
 template <typename M>
-inline constexpr bool kNumeric =
-    (std::is_arithmetic_v<M> && !std::is_same_v<M, bool>) ||
-    std::is_same_v<M, std::vector<double>>;
+inline constexpr bool kScalar =
+    std::is_arithmetic_v<M> && !std::is_same_v<M, bool>;
+
+/** A number, or a vector or optional of numbers (checked per element). */
+template <typename M>
+inline constexpr bool kNumeric = kScalar<M>;
+template <typename N>
+inline constexpr bool kNumeric<std::vector<N>> = kScalar<N>;
+template <typename N>
+inline constexpr bool kNumeric<std::optional<N>> = kScalar<N>;
 
 /** Every entry kind forwards to field(); each argument is taken alone. */
 template <typename T>
@@ -131,6 +149,11 @@ struct FieldsEqual
     void field(const char *, E... entry)
     {
         (take(entry), ...);
+    }
+    template <typename... E>
+    void axis(const char *key, E... entry)
+    {
+        field(key, entry...);
     }
     template <typename... E>
     void seconds(const char *key, E... entry)
@@ -162,6 +185,11 @@ struct FieldCount
         count += (0 + ... + !std::is_same_v<E, Domain>);
     }
     template <typename... E>
+    void axis(const char *key, E... entry)
+    {
+        field(key, entry...);
+    }
+    template <typename... E>
     void seconds(const char *key, E... entry)
     {
         field(key, entry...);
@@ -172,6 +200,14 @@ struct FieldCount
         field(key, entry...);
     }
 };
+
+/** Does M have a field list of its own (a nested spec struct)? */
+template <typename M, typename = void>
+inline constexpr bool kHasFields = false;
+template <typename M>
+inline constexpr bool kHasFields<
+    M, std::void_t<decltype(M::fields(std::declval<FieldCount<M> &>()))>> =
+    true;
 
 /** Calls f(path, value, domain) for every numeric leaf under T. */
 template <typename T, typename F>
@@ -188,8 +224,8 @@ struct DomainWalk
     {
         static_assert(!kNumeric<M>,
                       "a numeric field declares its domain in fields()");
-        if constexpr (std::is_class_v<M> && !std::is_same_v<M, std::string>) {
-            if (!skipDefaults || !(in.*member == M{}))
+        if constexpr (kHasFields<M>) {
+            if (!skipDefaults || !fieldsEqual(in.*member, M{}))
                 walk(in.*member, prefix + key + ".");
         }
     }
@@ -197,14 +233,22 @@ struct DomainWalk
     void field(const char *key, M T::*member, Domain domain)
     {
         const std::string path = prefix + key;
-        if constexpr (std::is_same_v<M, std::vector<double>>) {
-            for (std::size_t i = 0; i < (in.*member).size(); ++i) {
-                f(path + "[" + std::to_string(i) + "]", (in.*member)[i],
-                  domain);
-            }
+        const M &value = in.*member;
+        if constexpr (kScalar<M>) {
+            f(path, value, domain);
+        } else if constexpr (std::is_same_v<M, std::optional<
+                                                   typename M::value_type>>) {
+            if (value.has_value())
+                f(path, *value, domain);
         } else {
-            f(path, in.*member, domain);
+            for (std::size_t i = 0; i < value.size(); ++i)
+                f(path + "[" + std::to_string(i) + "]", value[i], domain);
         }
+    }
+    template <typename... E>
+    void axis(const char *key, E... entry)
+    {
+        field(key, entry...);
     }
     template <typename N, typename E>
     void field(const char *key, N T::*count, std::vector<E> T::*list,

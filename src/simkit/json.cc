@@ -623,7 +623,7 @@ JsonObjectReader::getBool(const std::string &key, bool *out)
     if (v == nullptr)
         return ok_;
     if (!v->isBool())
-        return fail(key, typeMessage("a bool", *v));
+        return fail(key, typeMessage("a boolean", *v));
     *out = v->asBool();
     return true;
 }

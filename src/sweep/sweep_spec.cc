@@ -1,8 +1,6 @@
 #include "sweep/sweep_spec.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "chameleon/spec_json.h"
@@ -10,12 +8,9 @@
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "routing/router.h"
-#include "simkit/enum_table.h"
 #include "simkit/json.h"
 
 namespace chameleon::sweep {
-
-using sim::JsonValue;
 
 serving::EngineConfig
 paperTestbedEngine()
@@ -34,164 +29,6 @@ SweepSpec::outputPath() const
 
 namespace {
 
-/**
- * Read the optional array `key` into `out`. `take` converts one item
- * and returns nullptr, or the message the item fails with; `expects`
- * is the message for a value that is not an array.
- */
-template <typename T, typename Take>
-bool
-listOf(sim::JsonObjectReader &r, const char *key, const char *expects,
-       Take take, std::vector<T> *out, bool allowEmpty = false)
-{
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, expects);
-    if (!allowEmpty && v->items().empty())
-        return r.fail(key, "must not be an empty array (omit the key "
-                           "to use the default)");
-    out->clear();
-    for (const auto &item : v->items()) {
-        T value{};
-        if (const char *problem = take(item, &value))
-            return r.fail(key, problem);
-        out->push_back(value);
-    }
-    return true;
-}
-
-constexpr const char *kStrings = "expects an array of strings";
-constexpr const char *kNumbers = "expects an array of numbers";
-constexpr const char *kIntegers = "expects an array of integers";
-constexpr const char *kBooleans = "expects an array of booleans";
-
-const char *
-takeString(const JsonValue &item, std::string *out)
-{
-    if (!item.isString())
-        return kStrings;
-    *out = item.asString();
-    return nullptr;
-}
-
-const char *
-takeNumber(const JsonValue &item, double *out)
-{
-    if (!item.isNumber())
-        return kNumbers;
-    *out = item.asNumber();
-    return nullptr;
-}
-
-const char *
-takeInt(const JsonValue &item, int *out)
-{
-    if (!item.isNumber() || !item.isIntegral() || item.isUnsignedIntegral())
-        return kIntegers;
-    if (item.asInt() < std::numeric_limits<int>::min() ||
-        item.asInt() > std::numeric_limits<int>::max())
-        return "has an entry out of 32-bit range";
-    *out = static_cast<int>(item.asInt());
-    return nullptr;
-}
-
-const char *
-takeBool(const JsonValue &item, bool *out)
-{
-    if (!item.isBool())
-        return kBooleans;
-    *out = item.asBool();
-    return nullptr;
-}
-
-bool
-workloadFromJson(const JsonValue &v, SweepWorkload *out,
-                 std::string *error)
-{
-    sim::JsonObjectReader r(v, "workload", error);
-    r.getString("preset", &out->preset);
-    r.getDouble("duration_s", &out->durationSeconds);
-    r.getInt("adapters", &out->adapters);
-    r.getString("adapter_popularity", &out->adapterPopularity);
-    auto getOptDouble = [&r](const char *key,
-                             std::optional<double> *slot) {
-        const JsonValue *v = r.child(key);
-        if (v == nullptr)
-            return r.ok();
-        if (!v->isNumber())
-            return r.fail(key, "expects a number");
-        *slot = v->asNumber();
-        return true;
-    };
-    getOptDouble("burst_multiplier", &out->burstMultiplier);
-    getOptDouble("burst_period_s", &out->burstPeriodSeconds);
-    getOptDouble("burst_duration_s", &out->burstDurationSeconds);
-    r.getInt("tenants", &out->tenants);
-    r.getDouble("tenant_storm", &out->tenantStorm);
-    return r.finish();
-}
-
-bool
-gridFromJson(const JsonValue &v, SweepSpec *out, std::string *error)
-{
-    sim::JsonObjectReader r(v, "grid", error);
-    r.getString("base", &out->gridBase);
-    const JsonValue *axes = r.child("axes");
-    if (axes != nullptr) {
-        if (!axes->isArray())
-            return r.fail("axes", "expects an array of token arrays");
-        for (std::size_t i = 0; i < axes->items().size(); ++i) {
-            const JsonValue &axis = axes->items()[i];
-            std::ostringstream key;
-            key << "axes[" << i << "]";
-            if (!axis.isArray() || axis.items().empty())
-                return r.fail(key.str(),
-                              "expects a non-empty array of modifier "
-                              "tokens");
-            std::vector<std::string> tokens;
-            for (const auto &token : axis.items()) {
-                if (!token.isString())
-                    return r.fail(key.str(),
-                                  "expects modifier-token strings");
-                tokens.push_back(token.asString());
-            }
-            out->gridAxes.push_back(std::move(tokens));
-        }
-    }
-    if (!r.finish())
-        return false;
-    if (out->gridBase.empty())
-        return r.fail("base", "is required when \"grid\" is present");
-    return true;
-}
-
-/** Resolve an axis of enum names through the enum's name table (an
- * empty axis is `fallback` alone); an unknown name fails naming the
- * axis and listing the valid options. */
-template <typename Enum>
-bool
-resolveNames(const std::vector<std::string> &names, Enum fallback,
-             const char *axis, const char *noun, std::vector<Enum> *out,
-             std::string *error)
-{
-    if (names.empty())
-        out->push_back(fallback);
-    for (const auto &name : names) {
-        Enum value{};
-        if (!sim::enumByName(name, &value)) {
-            if (error != nullptr)
-                *error = std::string("sweep ") + axis + ": unknown " +
-                         noun + " \"" + name +
-                         "\"; known: " + sim::enumNames<Enum>();
-            return false;
-        }
-        out->push_back(value);
-    }
-    return true;
-}
-
 /** The axis values, or the one-value default when the axis is unset. */
 template <typename T>
 std::vector<T>
@@ -203,44 +40,30 @@ orDefault(const std::vector<T> &axis, T fallback)
 /**
  * The rules on a sweep's own values, shared by sweepFromJson and
  * expandSweep so a SweepSpec built in C++ meets the same ones as a
- * parsed file. Returns the first problem, naming its JSON key, or "".
+ * parsed file: the field lists' domains, then the rules across fields.
+ * Returns the first problem, naming its JSON key, or "".
  */
 std::string
 sweepProblem(const SweepSpec &spec)
 {
-    const SweepWorkload &w = spec.workload;
-    if (w.tenants < 1) {
-        return "\"workload.tenants\" must be >= 1 (1 = the anonymous "
-               "single-tenant default)";
-    }
-    if (w.tenantStorm > 1.0 && w.tenants < 2) {
-        return "\"workload.tenant_storm\" needs \"tenants\" >= 2; a storm "
-               "is one tenant bursting against the others";
-    }
-    workload::TracePreset preset;
-    if (!sim::enumByName(w.preset, &preset)) {
-        return "\"workload.preset\" unknown value \"" + w.preset +
-               "\"; known: " + sim::enumNames<workload::TracePreset>();
-    }
-    if (!w.adapterPopularity.empty() && w.adapterPopularity != "uniform" &&
-        w.adapterPopularity != "powerlaw") {
-        return "\"workload.adapter_popularity\" unknown value \"" +
-               w.adapterPopularity + "\"; known: uniform, powerlaw";
-    }
-    if (w.adapters < 0) {
-        // A negative count would silently run base-only and misread
-        // as a valid sweep with empty cache columns.
-        return "\"workload.adapters\" must be >= 0 (0 = base-only "
-               "workload)";
-    }
+    std::vector<std::string> errors;
+    sim::checkDomains(spec, &errors);
+    if (!errors.empty())
+        return errors.front();
+    if (spec.systems.empty() && !spec.grid.base.has_value())
+        return "nothing to run; give \"systems\" and/or a \"grid\"";
+    if (spec.grid.base.has_value() ? spec.grid.base->empty()
+                                   : !spec.grid.axes.empty())
+        return "\"grid.base\" must name the system the grid's axes "
+               "compose onto";
     if (!spec.fleets.empty() && !spec.replicas.empty()) {
         return "\"fleets\" conflicts with \"replicas\"; a fleet preset "
                "already fixes each cell's replica count";
     }
-    if (spec.threads < 1)
-        return "\"threads\" must be >= 1";
-    if (!std::isfinite(w.tenantStorm))
-        return "\"workload.tenant_storm\" must be finite";
+    if (spec.workload.tenantStorm > 1.0 && spec.workload.tenants < 2) {
+        return "\"workload.tenant_storm\" needs \"tenants\" >= 2; a storm "
+               "is one tenant bursting against the others";
+    }
     for (const double rps : orDefault(spec.loads, 8.0)) {
         const std::string problem = workload::traceLoadProblem(
             cellTraceConfig(spec, rps, spec.seed), "\"loads\" entry",
@@ -256,103 +79,34 @@ sweepProblem(const SweepSpec &spec)
 std::optional<SweepSpec>
 sweepFromJson(const std::string &text, std::string *error)
 {
-    std::string parseError;
-    auto doc = sim::parseJson(text, &parseError);
-    if (!doc.has_value()) {
-        if (error != nullptr)
-            *error = "sweep json: " + parseError;
-        return std::nullopt;
-    }
-
     SweepSpec spec; // engine already defaults to the paper testbed
-
-    auto failure = [error]() -> std::optional<SweepSpec> {
-        if (error != nullptr && error->rfind("sweep json:", 0) != 0)
-            *error = "sweep json: " + *error;
-        return std::nullopt;
-    };
-
-    sim::JsonObjectReader r(*doc, "", error);
-    r.getString("name", &spec.name);
-    listOf(r, "systems", kStrings, takeString, &spec.systems,
-           /*allowEmpty=*/true);
-    if (const JsonValue *g = r.child("grid")) {
-        if (!gridFromJson(*g, &spec, error))
-            return failure();
-    }
-    listOf(r, "loads", kNumbers, takeNumber, &spec.loads);
-    r.getBool("rps_per_replica", &spec.rpsPerReplica);
-    listOf(r, "replicas", kIntegers, takeInt, &spec.replicas);
-    listOf(r, "fleets", kStrings, takeString, &spec.fleets);
-    listOf(r, "routers", kStrings, takeString, &spec.routers);
-    listOf(r, "autoscale", kBooleans, takeBool, &spec.autoscale);
-    if (const JsonValue *a = r.child("autoscaler")) {
-        if (!core::autoscalerFromJson(*a, "autoscaler", &spec.autoscaler,
-                                      error))
-            return failure();
-    }
-    listOf(r, "slo_admission", kBooleans, takeBool, &spec.sloAdmission);
-    listOf(r, "migrations", kStrings, takeString, &spec.migrations);
-    listOf(r, "topologies", kStrings, takeString, &spec.topologies);
-    if (const JsonValue *f = r.child("fabric")) {
-        if (!core::fabricFromJson(*f, "fabric", &spec.fabric, error))
-            return failure();
-    }
-    if (const JsonValue *w = r.child("workload")) {
-        if (!workloadFromJson(*w, &spec.workload, error))
-            return failure();
-    }
-    if (const JsonValue *e = r.child("engine")) {
-        if (!core::engineFromJson(*e, "engine", &spec.engine, error))
-            return failure();
-    }
-    if (const JsonValue *p = r.child("predictor")) {
-        if (!core::predictorFromJson(*p, "predictor", &spec.predictor,
-                                     error))
-            return failure();
-    }
-    r.getUint64("seed", &spec.seed);
-    r.getInt("threads", &spec.threads);
-    r.getString("output", &spec.output);
-    if (!r.finish())
-        return failure();
-
-    if (spec.systems.empty() && spec.gridBase.empty()) {
-        if (error != nullptr)
-            *error = "sweep json: nothing to run; give \"systems\" "
-                     "and/or a \"grid\"";
-        return std::nullopt;
-    }
-    const std::string problem = sweepProblem(spec);
-    if (!problem.empty()) {
-        if (error != nullptr)
-            *error = "sweep json: " + problem;
-        return std::nullopt;
-    }
-    return spec;
+    std::string problem;
+    const auto doc = sim::parseJson(text, &problem);
+    if (doc.has_value() && core::fieldsFromJson(*doc, "", &spec, &problem))
+        problem = sweepProblem(spec);
+    if (problem.empty())
+        return spec;
+    if (error != nullptr)
+        *error = "sweep json: " + problem;
+    return std::nullopt;
 }
 
 workload::TraceGenConfig
 cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
 {
-    workload::TracePreset preset = workload::TracePreset::Splitwise;
-    sim::enumByName(spec.workload.preset, &preset);
-    workload::TraceGenConfig wl = workload::presetConfig(preset);
+    const SweepWorkload &w = spec.workload;
+    workload::TraceGenConfig wl = workload::presetConfig(w.preset);
     wl.rps = rps;
-    wl.durationSeconds = spec.workload.durationSeconds;
-    wl.numAdapters = spec.workload.adapters;
-    if (spec.workload.adapterPopularity == "uniform")
-        wl.adapterPopularity = workload::Popularity::Uniform;
-    else if (spec.workload.adapterPopularity == "powerlaw")
-        wl.adapterPopularity = workload::Popularity::PowerLaw;
-    if (spec.workload.burstMultiplier.has_value())
-        wl.burstMultiplier = *spec.workload.burstMultiplier;
-    if (spec.workload.burstPeriodSeconds.has_value())
-        wl.burstPeriodSeconds = *spec.workload.burstPeriodSeconds;
-    if (spec.workload.burstDurationSeconds.has_value())
-        wl.burstDurationSeconds = *spec.workload.burstDurationSeconds;
-    wl.numTenants = spec.workload.tenants;
-    workload::applyTenantStorm(&wl, spec.workload.tenantStorm);
+    wl.durationSeconds = w.durationSeconds;
+    wl.numAdapters = w.adapters;
+    wl.adapterPopularity = w.adapterPopularity.value_or(wl.adapterPopularity);
+    wl.burstMultiplier = w.burstMultiplier.value_or(wl.burstMultiplier);
+    wl.burstPeriodSeconds =
+        w.burstPeriodSeconds.value_or(wl.burstPeriodSeconds);
+    wl.burstDurationSeconds =
+        w.burstDurationSeconds.value_or(wl.burstDurationSeconds);
+    wl.numTenants = w.tenants;
+    workload::applyTenantStorm(&wl, w.tenantStorm);
     wl.seed = traceSeed;
     return wl;
 }
@@ -374,9 +128,9 @@ expandSweep(const SweepSpec &spec, std::string *error)
     // The system axis: explicit names first, then the grid product in
     // row-major order (later axes vary fastest).
     std::vector<std::string> names = spec.systems;
-    if (!spec.gridBase.empty()) {
-        std::vector<std::string> combos{spec.gridBase};
-        for (const auto &axis : spec.gridAxes) {
+    if (spec.grid.base.has_value()) {
+        std::vector<std::string> combos{*spec.grid.base};
+        for (const auto &axis : spec.grid.axes) {
             std::vector<std::string> next;
             next.reserve(combos.size() * axis.size());
             for (const auto &prefix : combos) {
@@ -422,16 +176,12 @@ expandSweep(const SweepSpec &spec, std::string *error)
             deployments.push_back({count, "", {}});
     }
 
-    std::vector<routing::RouterPolicy> routers;
-    std::vector<fabric::MigrationPolicy> migrations;
-    std::vector<fabric::TopologyKind> topologies;
-    if (!resolveNames(spec.routers, routing::RouterPolicy::JoinShortestQueue,
-                      "routers", "policy", &routers, error) ||
-        !resolveNames(spec.migrations, fabric::MigrationPolicy::Off,
-                      "migrations", "policy", &migrations, error) ||
-        !resolveNames(spec.topologies, fabric::TopologyKind::PciePeer,
-                      "topologies", "topology", &topologies, error))
-        return std::nullopt;
+    const auto routers =
+        orDefault(spec.routers, routing::RouterPolicy::JoinShortestQueue);
+    const auto migrations =
+        orDefault(spec.migrations, fabric::MigrationPolicy::Off);
+    const auto topologies =
+        orDefault(spec.topologies, fabric::TopologyKind::PciePeer);
     const std::vector<bool> autoscales = orDefault(spec.autoscale, false);
     const std::vector<bool> sloAdmissions =
         orDefault(spec.sloAdmission, false);

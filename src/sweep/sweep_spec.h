@@ -59,13 +59,12 @@ serving::EngineConfig paperTestbedEngine();
 /** Workload template shared by every cell (rps comes per cell). */
 struct SweepWorkload
 {
-    /** Trace preset: splitwise | wildchat | lmsys. */
-    std::string preset = "splitwise";
+    workload::TracePreset preset = workload::TracePreset::Splitwise;
     double durationSeconds = 120.0;
     /** Adapter-pool size (0 = base-only workload). */
     int adapters = 100;
-    /** "" keeps the preset's default; else uniform | powerlaw. */
-    std::string adapterPopularity;
+    /** Unset keeps the preset's default. */
+    std::optional<workload::Popularity> adapterPopularity;
     /**
      * Periodic burstiness overrides (see TraceGenConfig); unset keeps
      * the preset's defaults (splitwise/wildchat ship bursty, §3.1).
@@ -82,13 +81,53 @@ struct SweepWorkload
     int tenants = 1;
     /**
      * Noisy-neighbour storm: tenant 0 bursts to this multiple of its
-     * share for the middle half of the trace (<= 1 disables). Requires
+     * share for the middle half of the trace (1 disables). Requires
      * tenants > 1. Storm cells run under a bounded 30 s drain window
      * (the fig29 convention) so the fairness index measures who gets
      * served while the backlog is contended; a full drain would
      * converge every scheduler to the trace's demand mix.
      */
     double tenantStorm = 1.0;
+
+    /** Every member once, with its sweep-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("preset", &SweepWorkload::preset);
+        v.field("duration_s", &SweepWorkload::durationSeconds,
+                sim::positive(sim::kMaxSpanSeconds));
+        v.field("adapters", &SweepWorkload::adapters, sim::nonNegative());
+        v.field("adapter_popularity", &SweepWorkload::adapterPopularity);
+        // trace_gen.cc: a multiplier <= 1 disables the bursts, a period
+        // <= 0 too, and a duration beyond the period fills it; the
+        // rules mixing them with the load are traceLoadProblem's.
+        v.field("burst_multiplier", &SweepWorkload::burstMultiplier,
+                sim::within(1.0, sim::kNoBound));
+        v.field("burst_period_s", &SweepWorkload::burstPeriodSeconds,
+                sim::nonNegative());
+        v.field("burst_duration_s", &SweepWorkload::burstDurationSeconds,
+                sim::nonNegative());
+        v.field("tenants", &SweepWorkload::tenants, sim::positive());
+        v.field("tenant_storm", &SweepWorkload::tenantStorm,
+                sim::within(1.0, sim::kNoBound));
+    }
+};
+
+/** A cross-product of registry modifier tokens over one base system. */
+struct SweepGrid
+{
+    /** Registry name the tokens compose onto; unset disables the grid. */
+    std::optional<std::string> base;
+    /** One modifier-token list per axis; cells take one from each. */
+    std::vector<std::vector<std::string>> axes;
+
+    /** Every member once, with its sweep-JSON key (simkit/fields.h). */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("base", &SweepGrid::base);
+        v.axis("axes", &SweepGrid::axes);
+    }
 };
 
 /** The sweep description; see file comment for the JSON grammar. */
@@ -98,10 +137,7 @@ struct SweepSpec
 
     /** Explicit registry names ("chameleon", "slora+sjf", ...). */
     std::vector<std::string> systems;
-    /** Cross-product base; "" disables the grid. */
-    std::string gridBase;
-    /** One modifier-token list per axis; cells take one from each. */
-    std::vector<std::vector<std::string>> gridAxes;
+    SweepGrid grid;
 
     /** Load axis (rps); empty means one load at 8.0. */
     std::vector<double> loads;
@@ -118,8 +154,8 @@ struct SweepSpec
      * fleet already fixes the count. Empty = homogeneous sweep.
      */
     std::vector<std::string> fleets;
-    /** Router axis (rr|jsq|p2c|affinity|affinity-cache); empty = jsq. */
-    std::vector<std::string> routers;
+    /** Router axis; empty = jsq. */
+    std::vector<routing::RouterPolicy> routers;
     /**
      * Autoscale axis: each entry is one axis value (cells with `true`
      * enable predictor-driven autoscaling under the `autoscaler`
@@ -136,14 +172,13 @@ struct SweepSpec
      */
     std::vector<bool> sloAdmission;
     /**
-     * Cache-fabric migration axis (off|scale-up|drain|remap|all);
-     * empty = {"off"} — no fabric unless the router axis asks for
-     * affinity-dir. Each entry becomes one axis value stamped onto
-     * spec.fabric.migration.
+     * Cache-fabric migration axis; empty = {off} — no fabric unless
+     * the router axis asks for affinity-dir. Each entry becomes one
+     * axis value stamped onto spec.fabric.migration.
      */
-    std::vector<std::string> migrations;
-    /** Peer-topology axis (pcie|nvlink); empty = {"pcie"}. */
-    std::vector<std::string> topologies;
+    std::vector<fabric::MigrationPolicy> migrations;
+    /** Peer-topology axis; empty = {pcie}. */
+    std::vector<fabric::TopologyKind> topologies;
     /** Fabric template stamped onto every cell (migration/topology
      * come from the axes above). */
     core::FabricSpec fabric{};
@@ -163,6 +198,35 @@ struct SweepSpec
 
     /** The resolved output path. */
     std::string outputPath() const;
+
+    /**
+     * Every member once, with its sweep-JSON key (simkit/fields.h). An
+     * axis given as [] fails; "systems": [] is a grid-only sweep.
+     */
+    template <typename V>
+    static void fields(V &v)
+    {
+        v.field("name", &SweepSpec::name);
+        v.field("systems", &SweepSpec::systems);
+        v.field("grid", &SweepSpec::grid);
+        v.axis("loads", &SweepSpec::loads, sim::positive());
+        v.field("rps_per_replica", &SweepSpec::rpsPerReplica);
+        v.axis("replicas", &SweepSpec::replicas, sim::positive());
+        v.axis("fleets", &SweepSpec::fleets);
+        v.axis("routers", &SweepSpec::routers);
+        v.axis("autoscale", &SweepSpec::autoscale);
+        v.field("autoscaler", &SweepSpec::autoscaler);
+        v.axis("slo_admission", &SweepSpec::sloAdmission);
+        v.axis("migrations", &SweepSpec::migrations);
+        v.axis("topologies", &SweepSpec::topologies);
+        v.field("fabric", &SweepSpec::fabric);
+        v.field("workload", &SweepSpec::workload);
+        v.field("engine", &SweepSpec::engine);
+        v.field("predictor", &SweepSpec::predictor);
+        v.seed("seed", &SweepSpec::seed);
+        v.field("threads", &SweepSpec::threads, sim::positive());
+        v.field("output", &SweepSpec::output);
+    }
 };
 
 /**
@@ -185,9 +249,11 @@ struct SweepCell
 };
 
 /**
- * Parse a sweep description from JSON text. Strict keys with
- * offending-key error messages, like core::specFromJson. The default
- * engine template is the paper testbed (Llama-7B on an A40).
+ * Parse a sweep description from JSON text through its field list
+ * (core::fieldsFromJson, the reader core::specFromJson uses), then
+ * check its domains (sim::checkDomains) and cross-field rules. Errors
+ * name the offending key. The default engine template is the paper
+ * testbed (Llama-7B on an A40).
  */
 std::optional<SweepSpec> sweepFromJson(const std::string &text,
                                        std::string *error = nullptr);
@@ -196,10 +262,11 @@ std::optional<SweepSpec> sweepFromJson(const std::string &text,
  * Expand the spec into concrete cells: (systems + grid cross-product)
  * x loads x replicas (or fleets) x routers x autoscale x slo_admission
  * x migrations x topologies, in that order (system slowest, topology
- * fastest). Resolves every system name through the global registry
- * and every axis name through its table, then validates every cell
- * spec; returns std::nullopt with an actionable message naming the
- * offending axis or cell on failure.
+ * fastest). Checks the sweep's own rules (as sweepFromJson does),
+ * resolves every system name through the global registry and every
+ * fleet through its preset grammar, then validates every cell spec;
+ * returns std::nullopt with an actionable message naming the
+ * offending key, axis or cell on failure.
  */
 std::optional<std::vector<SweepCell>> expandSweep(
     const SweepSpec &spec, std::string *error = nullptr);

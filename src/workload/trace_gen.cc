@@ -52,6 +52,16 @@ lmsysLike()
     return cfg;
 }
 
+sim::EnumTable<Popularity>
+enumTable(Popularity)
+{
+    static constexpr sim::EnumName<Popularity> kNames[] = {
+        {Popularity::Uniform, "uniform"},
+        {Popularity::PowerLaw, "powerlaw"},
+    };
+    return kNames;
+}
+
 sim::EnumTable<TracePreset>
 enumTable(TracePreset)
 {
@@ -102,6 +112,35 @@ traceLoadProblem(const TraceGenConfig &config, const std::string &rpsKey,
                sim::formatDouble(expected) + " requests, above the " +
                sim::formatDouble(kMaxTraceRequests) +
                " a generated trace may hold";
+    }
+    // generateTenant's arithmetic, for one equal-share tenant: its rate
+    // between bursts, and inside a burst and the storm.
+    const int tenants = std::max(1, config.numTenants);
+    double base = config.rps * (1.0 / tenants);
+    double peak = base;
+    std::string bursts;
+    if (config.burstMultiplier > 1.0 && config.burstPeriodSeconds > 0) {
+        const double p = config.burstPeriodSeconds;
+        const double d = std::min(config.burstDurationSeconds, p);
+        const double m = config.burstMultiplier;
+        base = base * p / ((p - d) + d * m);
+        peak = base * m;
+        bursts = " under burst_multiplier " + sim::formatDouble(m) +
+                 " for burst_duration_s " +
+                 sim::formatDouble(config.burstDurationSeconds) +
+                 " of every burst_period_s " + sim::formatDouble(p);
+    }
+    if (!(base > 0.0)) {
+        return rpsKey + " " + sim::formatDouble(config.rps) + " over " +
+               std::to_string(tenants) + " tenant(s)" + bursts +
+               " leaves a base arrival rate that underflows to 0";
+    }
+    peak *= std::max(1.0, config.stormMultiplier);
+    if (!(peak <= kMaxArrivalRate)) {
+        return rpsKey + " " + sim::formatDouble(config.rps) + " peaks at " +
+               sim::formatDouble(peak) + " requests/s per tenant" + bursts +
+               ", above the " + sim::formatDouble(kMaxArrivalRate) +
+               " a microsecond clock can separate";
     }
     return "";
 }
@@ -222,8 +261,10 @@ TraceGenerator::generateTenant(TenantId tenant, double shareRps,
         if (storming && now_s >= config_.stormStartSeconds &&
             now_s < config_.stormEndSeconds)
             rate *= config_.stormMultiplier;
+        // A gap past every horizon ends the trace; capped, it cannot
+        // overflow SimTime.
         const double gap_s = sim::sampleExponential(arrivalRng, rate);
-        t += sim::fromSeconds(gap_s);
+        t += sim::fromSeconds(std::min(gap_s, 2 * sim::kMaxSpanSeconds));
         if (t > horizon)
             break;
         Request r;

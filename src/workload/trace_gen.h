@@ -31,6 +31,9 @@ namespace chameleon::workload {
 /** Popularity shapes used in §5.4.2 (U-U / U-P / P-P). */
 enum class Popularity { Uniform, PowerLaw };
 
+/** Name table (simkit/enum_table.h): uniform | powerlaw. */
+sim::EnumTable<Popularity> enumTable(Popularity);
+
 /** Lognormal length distribution with clamping. */
 struct LengthDist
 {
@@ -147,11 +150,25 @@ void applyTenantStorm(TraceGenConfig *config, double multiplier);
 inline constexpr double kMaxTraceRequests = 1 << 22;
 
 /**
+ * Highest arrival rate a generated trace may reach, in requests per
+ * second: kMaxTraceRequests per second. The clock ticks in
+ * microseconds, so at rate R an exponential gap rounds to no time at
+ * all with probability 1 - e^(-R / 2e6), and the generator draws about
+ * e^(R / 2e6) arrivals per tick it advances. At this bound that is
+ * about 8, twice what a continuous clock would draw; it grows
+ * exponentially beyond (e^50 draws per tick at 1e8 per second).
+ */
+inline constexpr double kMaxArrivalRate = kMaxTraceRequests;
+
+/**
  * Why `config` cannot be generated, or "": rps and durationSeconds
  * must be finite and > 0, the duration at most sim::kMaxSpanSeconds,
  * and the expected requests — rps x duration, times the storm
- * multiplier when one is set — at most kMaxTraceRequests. The message
- * names the load as `rpsKey` and the duration as `durationKey`.
+ * multiplier when one is set — at most kMaxTraceRequests. Between
+ * bursts each equal-share tenant's rate must stay > 0, and at a burst
+ * and storm peak the rate at most kMaxArrivalRate. The message names
+ * the load as `rpsKey`, the duration as `durationKey` and the burst
+ * knobs by their sweep-JSON keys (the only input that sets them).
  */
 std::string traceLoadProblem(const TraceGenConfig &config,
                              const std::string &rpsKey,

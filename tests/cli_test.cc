@@ -123,6 +123,16 @@ TEST(CliBoundary, RejectsNonFiniteSpecFlags)
                      "cluster.autoscaler.measured_rate_alpha");
 }
 
+TEST(CliBoundary, RejectsSloMultipliersBeyondTheClock)
+{
+    // 1e18 x the mean isolated latency overflowed the int64 SLO.
+    expectUsageError("--rps 2 --duration 5 --slo-multiplier 1e18",
+                     "--slo-multiplier");
+    expectUsageError("--rps 2 --duration 5 --slo-multiplier 9000.001",
+                     "--slo-multiplier");
+    expectUsageError("--slo-multiplier nan", "--slo-multiplier");
+}
+
 TEST(CliBoundary, RejectsModelsThatDoNotFitTheirGpus)
 {
     expectUsageError("--model llama-70b --duration 5", "engine: llama-70b");

@@ -319,26 +319,28 @@ TEST(FabricSpecRejection, FabricNeedsChameleonCache)
 
 TEST(FabricSpecRejection, UnknownMigrationInSweepAxis)
 {
-    sweep::SweepSpec spec;
-    spec.systems = {"chameleon"};
-    spec.migrations = {"sideways"};
     std::string error;
-    EXPECT_FALSE(sweep::expandSweep(spec, &error).has_value());
-    EXPECT_NE(error.find("unknown policy \"sideways\""),
-              std::string::npos)
+    EXPECT_FALSE(
+        sweep::sweepFromJson(
+            R"({"systems": ["chameleon"], "migrations": ["sideways"]})",
+            &error)
+            .has_value());
+    EXPECT_NE(error.find("migrations[0]"), std::string::npos) << error;
+    EXPECT_NE(error.find("unknown value \"sideways\""), std::string::npos)
         << error;
     EXPECT_NE(error.find("scale-up"), std::string::npos) << error;
 }
 
 TEST(FabricSpecRejection, UnknownTopologyInSweepAxis)
 {
-    sweep::SweepSpec spec;
-    spec.systems = {"chameleon"};
-    spec.topologies = {"token-ring"};
     std::string error;
-    EXPECT_FALSE(sweep::expandSweep(spec, &error).has_value());
-    EXPECT_NE(error.find("unknown topology \"token-ring\""),
-              std::string::npos)
+    EXPECT_FALSE(
+        sweep::sweepFromJson(
+            R"({"systems": ["chameleon"], "topologies": ["token-ring"]})",
+            &error)
+            .has_value());
+    EXPECT_NE(error.find("topologies[0]"), std::string::npos) << error;
+    EXPECT_NE(error.find("unknown value \"token-ring\""), std::string::npos)
         << error;
     EXPECT_NE(error.find("pcie"), std::string::npos) << error;
 }
@@ -376,13 +378,14 @@ TEST(FabricSweep, MigrationCellsThreadCountInvariant)
         spec.systems = {"chameleon"};
         spec.loads = {10.0};
         spec.replicas = {2};
-        spec.routers = {"affinity-dir", "affinity-cache"};
+        spec.routers = {routing::RouterPolicy::AdapterAffinityDirectory,
+                        routing::RouterPolicy::AdapterAffinityCacheAware};
         spec.autoscale = {true};
         spec.autoscaler.minReplicas = 1;
         spec.autoscaler.maxReplicas = 4;
         spec.autoscaler.evalPeriodSeconds = 5.0;
         spec.autoscaler.replicaServiceRps = 6.0;
-        spec.migrations = {"all"};
+        spec.migrations = {fabric::MigrationPolicy::All};
         spec.workload.durationSeconds = 30.0;
         spec.workload.adapters = 24;
         spec.seed = 99;

@@ -1,14 +1,16 @@
 /**
  * @file
- * A seeded mutation driver over chameleon_sim's input boundary. Every
- * numeric leaf of several spec dumps (a plain preset, a fleet, an
- * autoscaled spec, a fabric spec with tenants) and every numeric flag
- * takes values at, beyond and far outside its declared domain; each
- * child run must exit 0 (it ran) or 2 (a usage error naming the key),
- * never abort, trap, run out of memory or spin.
+ * A seeded mutation driver over chameleon_sim's and chameleon_sweep's
+ * input boundaries. Every numeric leaf of several spec dumps (a plain
+ * preset, a fleet, an autoscaled spec, a fabric spec with tenants),
+ * every numeric flag and every numeric leaf a sweep file owns takes
+ * values at, beyond and far outside its declared domain; each child
+ * run must exit 0 (it ran) or 2 (a usage error naming the key), never
+ * abort, trap, run out of memory or spin.
  *
- * Children run the built binary (CHAMELEON_SIM_BIN, set by CMake) a few
- * at a time, each under a CPU-time cap and an address-space limit set
+ * Children run the built binaries (CHAMELEON_SIM_BIN and
+ * CHAMELEON_SWEEP_BIN, set by CMake) a few at a time, each under a
+ * CPU-time cap and an address-space limit set
  * by setrlimit in the child only, and a wall-clock alarm. Under
  * AddressSanitizer, which needs a vast address space for its shadow
  * memory, the sanitizer's own resident-set limit replaces the
@@ -39,17 +41,19 @@
 #include "simkit/fields.h"
 #include "simkit/json.h"
 #include "simkit/rng.h"
+#include "sweep/sweep_spec.h"
 
 using namespace chameleon;
 
 namespace {
 
-/** One child run: chameleon_sim with `args` (and `config` as a file). */
+/** One child run: `binary` with `args` (and `config` as a file). */
 struct Case
 {
     std::string label;
     std::vector<std::string> args;
-    std::string config; ///< spec JSON for --config; "" = none
+    std::string config; ///< JSON for --config; "" = none
+    const char *binary = CHAMELEON_SIM_BIN;
 };
 
 struct Result
@@ -88,7 +92,7 @@ pid_t
 spawn(const Case &c, const std::string &configPath,
       const std::string &errPath)
 {
-    std::vector<std::string> args = {CHAMELEON_SIM_BIN};
+    std::vector<std::string> args = {c.binary};
     if (!c.config.empty()) {
         std::ofstream(configPath) << c.config;
         args.insert(args.end(), {"--config", configPath});
@@ -319,6 +323,21 @@ numberFor(double value, bool integral)
     return sim::JsonValue::makeNumber(value);
 }
 
+/** The values a leaf is mutated to; `declared` is null for a seed. */
+std::vector<double>
+mutations(const Declared *declared, sim::Rng &rng)
+{
+    std::vector<double> values = {0.0, -1.0, 1e18, 0.5};
+    if (declared != nullptr) {
+        for (const double v : justPast(*declared))
+            values.push_back(v);
+    }
+    // One seeded draw per leaf, log-uniform over 1e-3 .. 1e20.
+    values.push_back((rng.nextBelow(2) ? 1.0 : -1.0) *
+                     std::pow(10.0, -3.0 + 23.0 * rng.nextDouble()));
+    return values;
+}
+
 /** Every numeric leaf of `dump`, mutated one at a time. */
 void
 addLeafCases(const std::string &label, const sim::JsonValue &dump,
@@ -331,15 +350,8 @@ addLeafCases(const std::string &label, const sim::JsonValue &dump,
         const auto it = declared.find(leaf.path);
         // Seeds are the only undeclared leaves: the full uint64 range.
         const bool integral = it == declared.end() || it->second.integral;
-        std::vector<double> values = {0.0, -1.0, 1e18, 0.5};
-        if (it != declared.end()) {
-            for (const double v : justPast(it->second))
-                values.push_back(v);
-        }
-        // One seeded draw per leaf, log-uniform over 1e-3 .. 1e20.
-        values.push_back((rng.nextBelow(2) ? 1.0 : -1.0) *
-                         std::pow(10.0, -3.0 + 23.0 * rng.nextDouble()));
-        for (const double v : values) {
+        for (const double v :
+             mutations(it == declared.end() ? nullptr : &it->second, rng)) {
             const auto mutated =
                 replaced(dump, leaf.steps, 0, numberFor(v, integral));
             std::ostringstream name;
@@ -477,4 +489,69 @@ TEST(SpecMutation, LongestRequestsExitCleanly)
             << cases[i].label << "\n"
             << results[i].stderrTail;
     }
+}
+
+TEST(SweepMutation, EveryNumericLeafExitsCleanly)
+{
+    // One system at one load for 5 s, so no mutation of `threads`
+    // starts a second worker. Every leaf the sweep owns is set; the
+    // engine and autoscaler templates are spec leaves, covered above.
+    const std::string base =
+        R"({"systems": ["chameleon"], "loads": [2], "replicas": [1],)"
+        R"( "threads": 1, "workload": {"duration_s": 5, "adapters": 8,)"
+        R"( "burst_multiplier": 2.5, "burst_period_s": 2,)"
+        R"( "burst_duration_s": 0.5, "tenants": 2, "tenant_storm": 2}})";
+    std::string error;
+    const auto spec = sweep::sweepFromJson(base, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    std::map<std::string, Declared> declared;
+    sim::walkDomains(*spec, [&declared](const std::string &path, auto value,
+                                        const sim::Domain &domain) {
+        for (const char *own :
+             {"loads[", "replicas[", "threads", "workload."}) {
+            if (path.rfind(own, 0) == 0) {
+                declared[path] = {domain,
+                                  std::is_integral_v<decltype(value)>};
+            }
+        }
+    });
+    const auto doc = sim::parseJson(base);
+    ASSERT_TRUE(doc.has_value());
+    std::vector<Leaf> leaves;
+    collectLeaves(*doc, Leaf{}, &leaves);
+    ASSERT_EQ(leaves.size(), declared.size())
+        << "a numeric leaf of the sweep is missing from the base sweep";
+
+    sim::Rng rng(0x5EED);
+    const std::vector<std::string> out = {"--out", "/dev/null"};
+    std::vector<Case> cases;
+    for (const auto &leaf : leaves) {
+        const auto it = declared.find(leaf.path);
+        ASSERT_NE(it, declared.end()) << leaf.path;
+        for (const double v : mutations(&it->second, rng)) {
+            std::ostringstream name;
+            name << "sweep: " << leaf.path << " = " << v;
+            const auto mutated = replaced(
+                *doc, leaf.steps, 0, numberFor(v, it->second.integral));
+            cases.push_back({name.str(), out, mutated.dump(),
+                             CHAMELEON_SWEEP_BIN});
+        }
+    }
+    // Each of these aborted in the trace generator or never finished.
+    for (const char *workload :
+         {R"("burst_multiplier": 100, "burst_duration_s": -1)",
+          R"("burst_multiplier": 1e308)",
+          R"("burst_multiplier": 1e300, "burst_duration_s": 1e-300)"}) {
+        cases.push_back({workload, out,
+                         std::string(R"({"systems": ["chameleon"],)") +
+                             R"( "workload": {"duration_s": 5, )" + workload +
+                             "}}",
+                         CHAMELEON_SWEEP_BIN});
+    }
+    // The document is written after the run; a bad path aborted there.
+    cases.push_back({"unwritable output",
+                     {"--out", testing::TempDir() + "no/such/dir.json"},
+                     base,
+                     CHAMELEON_SWEEP_BIN});
+    expectCleanExits(cases);
 }

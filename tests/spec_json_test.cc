@@ -29,6 +29,7 @@
 #include "model/llm.h"
 #include "simkit/fields.h"
 #include "simkit/rng.h"
+#include "sweep/sweep_spec.h"
 
 using namespace chameleon;
 
@@ -587,7 +588,7 @@ TEST(SpecValidate, ReplicaOverridesMustMatchTheReplicaCount)
     spec.cluster.replicaEngines = {spec.engine, spec.engine};
     const auto errors = spec.validate();
     ASSERT_EQ(errors.size(), 1u);
-    EXPECT_NE(errors[0].find("replicaEngines"), std::string::npos)
+    EXPECT_NE(errors[0].find("cluster.replicas lists"), std::string::npos)
         << errors[0];
     EXPECT_NE(errors[0].find("one override per replica"),
               std::string::npos)
@@ -852,5 +853,20 @@ TEST(SpecFields, EveryMemberIsInItsFieldList)
         [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i, j, k] =
             core::SystemSpec{};
         EXPECT_EQ(sim::fieldCount<core::SystemSpec>(), 11u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i] =
+            sweep::SweepWorkload{};
+        EXPECT_EQ(sim::fieldCount<sweep::SweepWorkload>(), 9u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b] = sweep::SweepGrid{};
+        EXPECT_EQ(sim::fieldCount<sweep::SweepGrid>(), 2u);
+    }
+    {
+        [[maybe_unused]] const auto &[a, b, c, d, e, f, g, h, i, j,
+                                      k, l, m, n, o, p, q, r, s, t] =
+            sweep::SweepSpec{};
+        EXPECT_EQ(sim::fieldCount<sweep::SweepSpec>(), 20u);
     }
 }

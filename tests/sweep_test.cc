@@ -5,7 +5,8 @@
  *    grammar errors naming the offending token;
  *  - expansion: cross-product order and size, trace sharing across
  *    systems at a load, per-load seed derivation, rps_per_replica,
- *    and a hash pin over every cell of the committed example sweeps;
+ *    and hash pins over every cell and every trace configuration of
+ *    the committed example sweeps;
  *  - determinism: the same sweep JSON + seed produces a byte-identical
  *    BenchJson document on repeated runs and at any thread count.
  */
@@ -110,7 +111,7 @@ TEST(SweepJson, RejectsExplicitlyEmptyAxisArrays)
     }
     EXPECT_EQ(parseSweep(R"({"systems": [],
                              "grid": {"base": "chameleon"}})")
-                  .gridBase,
+                  .grid.base.value_or(""),
               "chameleon");
 }
 
@@ -173,7 +174,7 @@ TEST(SweepExpand, InvalidAutoscalerTemplateNamesTheCell)
     std::string error;
     EXPECT_FALSE(sweep::expandSweep(spec, &error).has_value());
     EXPECT_NE(error.find("autoscale"), std::string::npos) << error;
-    EXPECT_NE(error.find("maxReplicas"), std::string::npos) << error;
+    EXPECT_NE(error.find("max_replicas"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------
@@ -287,22 +288,17 @@ TEST(SweepJson, RejectsFleetsBesideReplicas)
 TEST(SweepExpand, ChecksASweepBuiltInCxxLikeAParsedOne)
 {
     // expandSweep runs sweepFromJson's checks too, so none of these
-    // silently runs splitwise or drops an axis.
+    // silently runs or drops an axis.
     sweep::SweepSpec base;
     base.systems = {"chameleon"};
     base.workload.durationSeconds = 10.0;
     std::string error;
     ASSERT_TRUE(sweep::expandSweep(base, &error).has_value()) << error;
 
-    auto preset = base;
-    preset.workload.preset = "azure";
-    EXPECT_FALSE(sweep::expandSweep(preset, &error).has_value());
-    EXPECT_NE(error.find("workload.preset"), std::string::npos) << error;
-
-    auto popularity = base;
-    popularity.workload.adapterPopularity = "zipf";
-    EXPECT_FALSE(sweep::expandSweep(popularity, &error).has_value());
-    EXPECT_NE(error.find("workload.adapter_popularity"), std::string::npos)
+    auto storm = base;
+    storm.workload.tenantStorm = 8.0;
+    EXPECT_FALSE(sweep::expandSweep(storm, &error).has_value());
+    EXPECT_NE(error.find("workload.tenant_storm"), std::string::npos)
         << error;
 
     auto both = base;
@@ -373,12 +369,11 @@ TEST(SweepExpand, UnknownModifierTokenFailsWithGrammarMessage)
 
 TEST(SweepExpand, UnknownRouterFailsWithKnownList)
 {
-    const auto spec = parseSweep(R"({
+    // An axis holds enum values, so the name fails at the parse.
+    const auto error = sweepError(R"({
       "systems": ["chameleon"], "routers": ["hash-ring"]
     })");
-    std::string error;
-    const auto cells = sweep::expandSweep(spec, &error);
-    EXPECT_FALSE(cells.has_value());
+    EXPECT_NE(error.find("routers[0]"), std::string::npos) << error;
     EXPECT_NE(error.find("hash-ring"), std::string::npos) << error;
     EXPECT_NE(error.find("affinity"), std::string::npos) << error;
 }

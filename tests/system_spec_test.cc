@@ -460,7 +460,7 @@ TEST(SpecValidation, RejectsPrefetchTopKWithoutPrefetch)
 
     auto zero = core::presets::chameleonPrefetch();
     zero.adapters.prefetchTopK = 0;
-    EXPECT_TRUE(hasErrorContaining(zero, "prefetchTopK"));
+    EXPECT_TRUE(hasErrorContaining(zero, "prefetch_top_k"));
 }
 
 TEST(SpecValidation, RejectsEvictionWithoutCache)
@@ -494,7 +494,7 @@ TEST(SpecValidation, RejectsBadAutoscalerBounds)
     spec.cluster.autoscale = true;
     spec.cluster.autoscaler.minReplicas = 4;
     spec.cluster.autoscaler.maxReplicas = 2;
-    EXPECT_TRUE(hasErrorContaining(spec, "maxReplicas"));
+    EXPECT_TRUE(hasErrorContaining(spec, "max_replicas"));
 }
 
 TEST(SpecValidation, RejectsInvertedWatermarks)

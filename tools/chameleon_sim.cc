@@ -57,6 +57,7 @@
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "routing/router.h"
+#include "serving/slo.h"
 #include "simkit/enum_table.h"
 #include "simkit/flags.h"
 #include "simkit/log.h"
@@ -184,8 +185,9 @@ main(int argc, char **argv)
         "for the middle half of the trace (requires > 1 tenant)");
     auto *slo_multiplier = flags.addDouble(
         "slo-multiplier", 5.0,
-        "TTFT SLO as a multiple of the mean isolated latency "
-        "(0 disables SLO reporting)");
+        "TTFT SLO as a multiple of the mean isolated latency, within "
+        "[0, 9000] (0 disables SLO reporting; a mean isolated latency is "
+        "at most one span, and 9000 spans still fit the clock)");
     auto *acc = flags.addDouble("predictor-acc", 0.8,
                                 "output-length predictor accuracy");
     auto *replicas = flags.addInt("replicas", 1,
@@ -433,9 +435,12 @@ main(int argc, char **argv)
             "--tenant-storm needs more than one tenant (--tenants, or "
             "the config file's tenancy.tenants); a storm is one tenant "
             "bursting against the others");
-    require(*slo_multiplier >= 0.0 && std::isfinite(*slo_multiplier),
-            "--slo-multiplier must be finite and >= 0 (0 disables SLO "
-            "reporting)");
+    constexpr sim::Domain sloDomain =
+        sim::within(0.0, serving::kMaxSloMultiplier);
+    require(sloDomain.contains(*slo_multiplier),
+            sim::domainError("--slo-multiplier", sloDomain,
+                             sim::formatDouble(*slo_multiplier)) +
+                "; 0 disables SLO reporting");
     require(*adapters >= 0 && *adapters <= kMaxInt,
             "--adapters must be within [0, 2^31) (0 = base only)");
     workload::TraceGenConfig wl;

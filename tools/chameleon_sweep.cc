@@ -115,13 +115,22 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // The document is written after the whole run; an output path
+    // that cannot be written fails now, as a usage error.
+    if (!std::ofstream(spec->outputPath(), std::ios::app)) {
+        std::fprintf(stderr, "chameleon_sweep: cannot write the output "
+                             "\"%s\" (\"output\" or --out)\n",
+                     spec->outputPath().c_str());
+        return 2;
+    }
+
     sweep::SweepRunner runner(std::move(*spec));
     std::printf("sweep %s: %zu cells, %d thread%s, %s workload, "
                 "%d adapters\n\n",
                 runner.spec().name.c_str(), runner.cells().size(),
                 runner.spec().threads,
                 runner.spec().threads == 1 ? "" : "s",
-                runner.spec().workload.preset.c_str(),
+                sim::enumName(runner.spec().workload.preset),
                 runner.spec().workload.adapters);
 
     const auto results = runner.run();
