@@ -98,9 +98,11 @@ struct SweepWorkload
                 sim::positive(sim::kMaxSpanSeconds));
         v.field("adapters", &SweepWorkload::adapters, sim::nonNegative());
         v.field("adapter_popularity", &SweepWorkload::adapterPopularity);
-        // trace_gen.cc: a multiplier <= 1 disables the bursts, a period
-        // <= 0 too, and a duration beyond the period fills it; the
-        // rules mixing them with the load are traceLoadProblem's.
+        // trace_gen.cc: a multiplier of 1 or a period of 0 disables the
+        // bursts (one below 1 would be ignored, not lower the rate), a
+        // negative duration makes the base rate negative, and one past
+        // the period fills it. The rules mixing them with the load are
+        // traceLoadProblem's.
         v.field("burst_multiplier", &SweepWorkload::burstMultiplier,
                 sim::within(1.0, sim::kNoBound));
         v.field("burst_period_s", &SweepWorkload::burstPeriodSeconds,

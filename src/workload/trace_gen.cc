@@ -140,7 +140,7 @@ traceLoadProblem(const TraceGenConfig &config, const std::string &rpsKey,
         return rpsKey + " " + sim::formatDouble(config.rps) + " peaks at " +
                sim::formatDouble(peak) + " requests/s per tenant" + bursts +
                ", above the " + sim::formatDouble(kMaxArrivalRate) +
-               " a microsecond clock can separate";
+               " per second a trace may reach on its microsecond clock";
     }
     return "";
 }
